@@ -1,20 +1,23 @@
 //! Event-loop blocking lint.
 //!
-//! Roots are functions annotated `// theta: event-loop` — the router
-//! `select!` loop, the poll(2) front-end loop, and the gossip/TCP
-//! reader threads (spawn-closure children inherit the annotation from
-//! the function that spawns them). Everything reachable from a root
+//! Roots are functions annotated `// theta: event-loop` — the router's
+//! inbox loop, the poll(2) front-end loop, and the gossip/TCP reader
+//! threads (spawn-closure children inherit the annotation from the
+//! function that spawns them). Everything reachable from a root
 //! through the call graph must not:
 //!
 //! - sleep (`thread::sleep`);
-//! - block on a channel (`.recv()` — `select!`'s `recv(rx)` clauses
-//!   are the loop's designated wait and are not method calls, so they
-//!   do not match) or join a thread (`.join()`);
+//! - block on a channel (`.recv()`, `.recv_timeout(..)`,
+//!   `.recv_deadline(..)`, or a `select!`) or join a thread
+//!   (`.join()`);
 //! - wait on a condvar (`.wait(..)` / `.wait_timeout(..)`);
 //! - do file I/O (`std::fs::*`, `File::open/create`, `OpenOptions`,
 //!   `read_to_string`/`read_to_end`);
 //! - call a function annotated `// theta: worker-only` (the
 //!   compile-time analogue of the runtime `assert_off_router` check).
+//!
+//! A loop's one designated wait is marked where it happens, with an
+//! inline `// theta: allow(blocking): <reason>`.
 
 use crate::callgraph::CallGraph;
 use crate::lexer::{TokKind, Token};
@@ -39,8 +42,11 @@ fn facts(toks: &[Token], positions: &[usize]) -> Vec<(usize, &'static str, Strin
             "sleep" if next_paren => {
                 out.push((i, "sleep", "thread::sleep on an event-loop path".into()));
             }
-            "recv" if prev_dot && next_paren => {
-                out.push((i, "blocking-recv", "blocking channel .recv()".into()));
+            "recv" | "recv_timeout" | "recv_deadline" if prev_dot && next_paren => {
+                out.push((i, "blocking-recv", format!("blocking channel .{}(..)", t.text)));
+            }
+            "select" if toks.get(i + 1).is_some_and(|n| n.is("!")) => {
+                out.push((i, "blocking-recv", "select! channel wait".into()));
             }
             "join" if prev_dot && next_paren && toks.get(i + 2).is_some_and(|n| n.is(")")) => {
                 out.push((i, "thread-join", "blocking .join()".into()));
@@ -142,15 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn select_macro_recv_clause_is_not_a_blocking_recv() {
-        let f = run_on(
-            "// theta: event-loop\nfn run_loop(rx: &Receiver) {\n\
-             loop { select! { recv(rx) -> msg => {} } }\n}\n",
-        );
-        assert!(f.is_empty(), "{f:#?}");
-    }
-
-    #[test]
     fn method_recv_and_file_io_are_flagged() {
         let f = run_on(
             "// theta: event-loop\nfn run_loop(rx: &Receiver) {\n\
@@ -159,6 +156,17 @@ mod tests {
         let kinds: Vec<&str> = f.iter().map(|x| x.kind.as_str()).collect();
         assert!(kinds.contains(&"blocking-recv"), "{f:#?}");
         assert!(kinds.contains(&"file-io"), "{f:#?}");
+    }
+
+    #[test]
+    fn timed_recvs_and_select_are_blocking_waits() {
+        let f = run_on(
+            "// theta: event-loop\nfn run_loop(rx: &Receiver) {\n\
+             rx.recv_deadline(t);\n rx.recv_timeout(d);\n\
+             select! { recv(rx) -> msg => {} }\n}\n",
+        );
+        assert_eq!(f.len(), 3, "{f:#?}");
+        assert!(f.iter().all(|x| x.kind == "blocking-recv"), "{f:#?}");
     }
 
     #[test]

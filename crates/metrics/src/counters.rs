@@ -2,7 +2,7 @@
 //!
 //! The instance manager exposes one [`EventLoopCounters`] per node so
 //! benchmarks (and the service layer's node-stats endpoint) can observe
-//! how the select-driven loop behaves: how often it wakes, how many
+//! how the router's inbox loop behaves: how often it wakes, how many
 //! network events and commands it processed, how aggressively it
 //! retried, and how the bounded result cache churns.
 //!
@@ -14,7 +14,10 @@ use theta_sync::atomic::{AtomicU64, Ordering};
 /// Shared, lock-free counters for one instance-manager event loop.
 #[derive(Debug, Default)]
 pub struct EventLoopCounters {
-    /// Times the event loop woke from its `select!` (one per iteration).
+    /// Times the router's blocking inbox wait returned — for a message
+    /// or at its earliest deadline (instance expiry, P2P retry, batch
+    /// age flush). One per loop iteration, each at most one thread
+    /// wakeup; an idle router with no pending deadline adds none.
     pub wakeups: AtomicU64,
     /// Network events (P2P + TOB deliveries) handled.
     pub events_processed: AtomicU64,

@@ -41,7 +41,7 @@ pub const MAILBOX_DROPPED_COUNTER: &str = "theta_mailbox_dropped_total";
 /// a `{worker="i"}` label.
 pub const WORKER_BUSY_HISTOGRAM: &str = "theta_worker_busy_seconds";
 /// Counter: total nanoseconds the router thread spent doing work (not
-/// blocked in `select!`). Nanosecond resolution because one router
+/// blocked on its inbox). Nanosecond resolution because one router
 /// iteration is often sub-microsecond — the histogram above would
 /// truncate it to zero.
 pub const ROUTER_BUSY_NANOS_COUNTER: &str = "theta_router_busy_nanos_total";
@@ -77,7 +77,7 @@ pub struct PoolMetrics {
     /// batch-settle), indexed by worker id; each worker installs its
     /// entry as the thread-local sink at startup.
     pub worker_phases: Vec<WorkerPhases>,
-    /// Exact nanoseconds the router spent working (select wakeups only).
+    /// Exact nanoseconds the router spent working (blocked time excluded).
     pub router_busy_nanos: Arc<Counter>,
     /// Exact nanoseconds workers spent running slots, pool-wide.
     pub worker_busy_nanos: Arc<Counter>,

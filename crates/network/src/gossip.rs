@@ -38,14 +38,18 @@
 use crate::demux::{peek_key, span_hex, span_of, SPAN_LEN};
 use crate::handshake::{self, MeshAuth, RecvCipher, SendCipher, Session};
 use crate::tcp::{dial_with_retry, LinkHealth, HANDSHAKE_TIMEOUT, SEQUENCER};
-use crate::{Network, NetworkError, NetworkEvent, NodeId, PeerTraffic, TobReorderBuffer};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::{
+    EventOutlet, EventSink, Network, NetworkError, NetworkEvent, NodeId, PeerTraffic,
+    TobReorderBuffer,
+};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 use theta_metrics::{TraceEventKind, TraceJournal};
+use theta_sync::channel::{unbounded, Receiver, Sender};
 
 /// Inner message kinds carried by a flood frame.
 const KIND_P2P_BCAST: u8 = 0;
@@ -189,7 +193,7 @@ impl GossipShared {
         }
     }
 
-    /// Journals an envelope delivered to this node's event channel.
+    /// Journals an envelope delivered to this node's event sink.
     fn trace_recv(&self, peer: NodeId, span: &[u8; SPAN_LEN], hop: u8, payload: &[u8]) {
         if let (Some(j), Some(key)) = (self.journal.get(), peek_key(payload)) {
             j.record_full(
@@ -222,7 +226,7 @@ impl GossipShared {
 pub struct GossipMeshNode {
     shared: Arc<GossipShared>,
     n: usize,
-    events: Receiver<NetworkEvent>,
+    outlet: Arc<EventOutlet>,
     raw_tx: Sender<(usize, Vec<u8>)>,
 }
 
@@ -375,13 +379,19 @@ impl GossipMesh {
         for (stream, idx, peer, recv) in readers {
             spawn_link_reader(stream, idx, peer, recv, raw_tx.clone(), shared.clone());
         }
-        let (events_tx, events_rx) = unbounded::<NetworkEvent>();
-        spawn_flood_demux(raw_rx, events_tx, shared.clone());
-        Ok(GossipMeshNode { shared, n, events: events_rx, raw_tx })
+        let outlet = Arc::new(EventOutlet::new());
+        spawn_flood_demux(raw_rx, outlet.clone(), shared.clone());
+        Ok(GossipMeshNode { shared, n, outlet, raw_tx })
     }
 }
 
 impl GossipMeshNode {
+    /// Waits up to `timeout` for this node's next event. Only events
+    /// that arrive before [`Network::set_event_sink`] are returned here.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<NetworkEvent> {
+        self.outlet.recv_timeout(timeout)
+    }
+
     /// Number of live-at-setup neighbor links (the node's degree).
     pub fn degree(&self) -> usize {
         self.shared.links.len()
@@ -537,14 +547,14 @@ fn spawn_link_reader(
 /// The flood engine: dedups by message id (remembering the best hop
 /// count seen per message), relays fresh frames — and shorter-path
 /// duplicates — to every other link, and demultiplexes P2P/TOB into the
-/// ordered event channel. Single-threaded by construction, so the dedup
+/// ordered event sink. Single-threaded by construction, so the dedup
 /// window, the reorder buffer and (on node 1) the sequencer state need
 /// no further locking.
 // theta: event-loop
 // theta: entrypoint(network)
 fn spawn_flood_demux(
     raw_rx: Receiver<(usize, Vec<u8>)>,
-    events_tx: Sender<NetworkEvent>,
+    outlet: Arc<EventOutlet>,
     shared: Arc<GossipShared>,
 ) {
     std::thread::Builder::new()
@@ -713,9 +723,7 @@ fn spawn_flood_demux(
                     _ => continue,
                 };
                 for ev in released {
-                    if events_tx.send(ev).is_err() {
-                        return;
-                    }
+                    outlet.deliver(ev);
                 }
             }
         })
@@ -773,8 +781,8 @@ impl Network for GossipMeshNode {
         }
     }
 
-    fn events(&self) -> &Receiver<NetworkEvent> {
-        &self.events
+    fn set_event_sink(&mut self, sink: EventSink) {
+        self.outlet.install(sink);
     }
 
     fn attach_registry(&mut self, registry: &Arc<theta_metrics::MetricsRegistry>) {

@@ -2,21 +2,26 @@
 //!
 //! The hub owns one delivery-scheduler thread: every sent message is
 //! stamped with a delivery deadline drawn from its link's
-//! [`LinkProfile`] and released to the destination's channel when due.
+//! [`LinkProfile`] and released to the destination's event sink when
+//! due. The scheduler sleeps until the next due delivery or the next
+//! send, whichever comes first, so an idle mesh costs no wakeups.
 //! This is what lets integration tests and the live benchmarks replay
 //! the paper's local (0.65 ms) and global (43–100 ms) RTT regimes on one
 //! machine.
 
 use crate::demux::{peek_key, span_hex, span_of};
-use crate::{LinkProfile, Network, NetworkEvent, NodeId, PeerTraffic, TobReorderBuffer};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::{
+    EventOutlet, EventSink, LinkProfile, Network, NetworkEvent, NodeId, PeerTraffic,
+    TobReorderBuffer,
+};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 use std::collections::{BinaryHeap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use theta_metrics::{TraceEventKind, TraceJournal};
+use theta_sync::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 
 /// Configuration of the simulated mesh.
 #[derive(Clone, Debug)]
@@ -70,14 +75,14 @@ impl Ord for ScheduledDelivery {
 }
 
 struct HubInner {
-    outboxes: Vec<Sender<NetworkEvent>>,
+    outlets: Vec<Arc<EventOutlet>>,
     links: Mutex<Vec<Vec<LinkProfile>>>,
     blocked: Mutex<HashSet<(NodeId, NodeId)>>,
     drop_probability: Mutex<f64>,
     rng: Mutex<rand::rngs::StdRng>,
     tob_seq: AtomicU64,
-    scheduler_tx: Sender<ScheduledDelivery>,
-    shutdown: Arc<AtomicBool>,
+    /// Sends to the scheduler thread; `None` tells it to stop.
+    scheduler_tx: Sender<Option<ScheduledDelivery>>,
     /// Per-target receive counters, registered lazily by each node's
     /// `attach_registry` and read by the scheduler on delivery.
     recv_counters: Mutex<Vec<Option<Arc<PeerTraffic>>>>,
@@ -109,11 +114,11 @@ impl HubInner {
     }
 
     fn schedule(&self, target: NodeId, due: Instant, event: Delivery) {
-        let _ = self.scheduler_tx.send(ScheduledDelivery {
+        let _ = self.scheduler_tx.send(Some(ScheduledDelivery {
             due,
             target: target as usize - 1,
             event,
-        });
+        }));
     }
 }
 
@@ -128,25 +133,18 @@ impl InMemoryHub {
     /// node (index `i` holds node id `i + 1`).
     pub fn build(n: u16, config: InMemoryConfig) -> (InMemoryHub, Vec<InMemoryNode>) {
         assert!(n >= 1, "need at least one node");
-        let mut outboxes = Vec::with_capacity(n as usize);
-        let mut inboxes = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<NetworkEvent>();
-            outboxes.push(tx);
-            inboxes.push(rx);
-        }
+        let outlets: Vec<Arc<EventOutlet>> =
+            (0..n).map(|_| Arc::new(EventOutlet::new())).collect();
         let links = vec![vec![config.default_link; n as usize]; n as usize];
-        let (scheduler_tx, scheduler_rx) = bounded::<ScheduledDelivery>(65536);
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let (scheduler_tx, scheduler_rx) = bounded::<Option<ScheduledDelivery>>(65536);
         let inner = Arc::new(HubInner {
-            outboxes,
+            outlets,
             links: Mutex::new(links),
             blocked: Mutex::new(HashSet::new()),
             drop_probability: Mutex::new(config.drop_probability),
             rng: Mutex::new(rand::rngs::StdRng::seed_from_u64(config.seed)),
             tob_seq: AtomicU64::new(0),
             scheduler_tx,
-            shutdown: shutdown.clone(),
             recv_counters: Mutex::new(vec![None; n as usize]),
             journals: Mutex::new(vec![None; n as usize]),
         });
@@ -154,7 +152,7 @@ impl InMemoryHub {
         let scheduler_inner = inner.clone();
         let handle = std::thread::Builder::new()
             .name("theta-net-scheduler".into())
-            .spawn(move || scheduler_loop(scheduler_inner, scheduler_rx, shutdown))
+            .spawn(move || scheduler_loop(scheduler_inner, scheduler_rx))
             .expect("spawn scheduler");
 
         let nodes = (1..=n)
@@ -162,7 +160,7 @@ impl InMemoryHub {
                 id,
                 n: n as usize,
                 hub: inner.clone(),
-                inbox: inboxes[id as usize - 1].clone(),
+                outlet: inner.outlets[id as usize - 1].clone(),
                 sent: None,
                 journal: None,
             })
@@ -187,7 +185,7 @@ impl InMemoryHub {
 
     /// Isolates a node entirely (both directions, all peers).
     pub fn isolate_node(&self, node: NodeId, isolated: bool) {
-        let n = self.inner.outboxes.len() as u16;
+        let n = self.inner.outlets.len() as u16;
         for peer in 1..=n {
             if peer != node {
                 self.set_link_blocked(node, peer, isolated);
@@ -204,25 +202,21 @@ impl InMemoryHub {
 
 impl Drop for InMemoryHub {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        let _ = self.inner.scheduler_tx.send(None);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
 }
 
-fn scheduler_loop(
-    inner: Arc<HubInner>,
-    rx: Receiver<ScheduledDelivery>,
-    shutdown: Arc<AtomicBool>,
-) {
+fn scheduler_loop(inner: Arc<HubInner>, rx: Receiver<Option<ScheduledDelivery>>) {
     let mut heap: BinaryHeap<ScheduledDelivery> = BinaryHeap::new();
     // TOB reordering is centralized here (one buffer per target node) so
-    // each node's event channel already carries gap-free sequence order.
-    let mut reorder: Vec<TobReorderBuffer> = (0..inner.outboxes.len())
+    // each node's event sink already sees gap-free sequence order.
+    let mut reorder: Vec<TobReorderBuffer> = (0..inner.outlets.len())
         .map(|_| TobReorderBuffer::new())
         .collect();
-    while !shutdown.load(Ordering::SeqCst) {
+    loop {
         // Deliver everything due.
         let now = Instant::now();
         while heap.peek().is_some_and(|d| d.due <= now) {
@@ -235,7 +229,7 @@ fn scheduler_loop(
                         recv.count(from, payload.len());
                     }
                     trace_delivery(journal.as_deref(), from, &payload);
-                    let _ = inner.outboxes[d.target].send(NetworkEvent::P2p { from, payload });
+                    inner.outlets[d.target].deliver(NetworkEvent::P2p { from, payload });
                 }
                 Delivery::Tob { seq, from, payload } => {
                     if let Some(recv) = recv {
@@ -243,21 +237,17 @@ fn scheduler_loop(
                     }
                     trace_delivery(journal.as_deref(), from, &payload);
                     for ev in reorder[d.target].insert(seq, from, payload) {
-                        let _ = inner.outboxes[d.target].send(ev);
+                        inner.outlets[d.target].deliver(ev);
                     }
                 }
             }
         }
-        // Wait for the next item or the next deadline.
-        let wait = heap
-            .peek()
-            .map(|d| d.due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(5))
-            .min(Duration::from_millis(5));
-        match rx.recv_timeout(wait) {
-            Ok(item) => heap.push(item),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+        // Only a new send or the head's due time can change what is
+        // deliverable, so wait for exactly those.
+        match rx.recv_deadline(heap.peek().map(|d| d.due)) {
+            Ok(Some(item)) => heap.push(item),
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(None) | Err(RecvTimeoutError::Disconnected) => break,
         }
     }
 }
@@ -281,11 +271,19 @@ pub struct InMemoryNode {
     id: NodeId,
     n: usize,
     hub: Arc<HubInner>,
-    inbox: Receiver<NetworkEvent>,
+    outlet: Arc<EventOutlet>,
     /// Per-peer send counters; `None` until `attach_registry`.
     sent: Option<PeerTraffic>,
     /// This node's trace journal; `None` until `attach_journal`.
     journal: Option<Arc<TraceJournal>>,
+}
+
+impl InMemoryNode {
+    /// Waits up to `timeout` for this node's next event. Only events
+    /// that arrive before [`Network::set_event_sink`] are returned here.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<NetworkEvent> {
+        self.outlet.recv_timeout(timeout)
+    }
 }
 
 impl Network for InMemoryNode {
@@ -362,8 +360,8 @@ impl Network for InMemoryNode {
         }
     }
 
-    fn events(&self) -> &Receiver<NetworkEvent> {
-        &self.inbox
+    fn set_event_sink(&mut self, sink: EventSink) {
+        self.outlet.install(sink);
     }
 
     fn attach_registry(&mut self, registry: &Arc<theta_metrics::MetricsRegistry>) {
@@ -447,26 +445,26 @@ mod tests {
     }
 
     #[test]
-    fn events_channel_delivers_in_order_without_polling() {
-        use crate::Network as _;
-        let (_hub, nodes) = mesh(2);
+    fn sink_receives_buffered_then_live_events_in_order() {
+        let (_hub, mut nodes) = mesh(2);
         nodes[0].submit_tob(b"first".to_vec());
         nodes[0].submit_tob(b"second".to_vec());
-        // Blocking directly on the exposed receiver must yield the TOB
-        // stream already reordered (seq 0, then 1).
-        let rx = nodes[1].events();
-        match rx.recv_timeout(TICK) {
-            Ok(NetworkEvent::Tob { seq: 0, from: 1, payload }) => {
-                assert_eq!(payload, b"first")
+        // Installed mid-stream: events delivered before the switch are
+        // forwarded first, so the sink still sees seq 0, 1, 2.
+        let (tx, rx) = theta_sync::channel::unbounded();
+        nodes[1].set_event_sink(Box::new(move |ev| {
+            let _ = tx.send(ev);
+        }));
+        nodes[0].submit_tob(b"third".to_vec());
+        for (want, body) in [b"first".as_slice(), b"second", b"third"].iter().enumerate() {
+            match rx.recv_timeout(TICK) {
+                Ok(NetworkEvent::Tob { seq, from: 1, payload }) => {
+                    assert_eq!((seq, payload.as_slice()), (want as u64, *body));
+                }
+                other => panic!("expected seq {want}, got {other:?}"),
             }
-            other => panic!("expected seq 0, got {other:?}"),
         }
-        match rx.recv_timeout(TICK) {
-            Ok(NetworkEvent::Tob { seq: 1, from: 1, payload }) => {
-                assert_eq!(payload, b"second")
-            }
-            other => panic!("expected seq 1, got {other:?}"),
-        }
+        assert!(nodes[1].recv_timeout(Duration::from_millis(50)).is_none());
     }
 
     #[test]

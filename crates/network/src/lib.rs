@@ -26,7 +26,9 @@ pub mod handshake;
 pub mod inmemory;
 pub mod tcp;
 
+use parking_lot::Mutex;
 use std::time::Duration;
+use theta_sync::channel::{unbounded, Receiver, Sender};
 
 /// A node identifier on the network layer (1-based, aligning with the
 /// scheme layer's party ids).
@@ -51,6 +53,54 @@ pub enum NetworkEvent {
         /// Opaque payload.
         payload: Vec<u8>,
     },
+}
+
+/// Where a transport delivers its events (see [`Network::set_event_sink`]).
+pub type EventSink = Box<dyn Fn(NetworkEvent) + Send + Sync>;
+
+/// The delivery end a transport shares with its delivery threads.
+/// Until a sink is installed, events wait in a local buffer that the
+/// transports' `recv_timeout` reads (transport tests and tools use
+/// it); installing a sink forwards the buffer first, so no event is
+/// lost or reordered across the switch.
+pub(crate) struct EventOutlet {
+    sink: Mutex<Option<EventSink>>,
+    buffer_tx: Sender<NetworkEvent>,
+    buffer_rx: Receiver<NetworkEvent>,
+}
+
+impl EventOutlet {
+    pub(crate) fn new() -> EventOutlet {
+        let (buffer_tx, buffer_rx) = unbounded();
+        EventOutlet { sink: Mutex::new(None), buffer_tx, buffer_rx }
+    }
+
+    /// Hands one event to the sink, or buffers it while none is set.
+    pub(crate) fn deliver(&self, event: NetworkEvent) {
+        // The lock spans the call so `install` cannot slip between a
+        // buffered event and a later one delivered straight to the sink.
+        let sink = self.sink.lock();
+        match sink.as_ref() {
+            Some(f) => f(event),
+            None => {
+                let _ = self.buffer_tx.send(event);
+            }
+        }
+    }
+
+    pub(crate) fn install(&self, sink: EventSink) {
+        let mut slot = self.sink.lock();
+        while let Ok(event) = self.buffer_rx.try_recv() {
+            sink(event);
+        }
+        *slot = Some(sink);
+    }
+
+    /// Waits up to `timeout` for the next buffered event; always `None`
+    /// once a sink is installed.
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<NetworkEvent> {
+        self.buffer_rx.recv_timeout(timeout).ok()
+    }
 }
 
 /// Errors surfaced by network implementations.
@@ -98,19 +148,14 @@ pub trait Network: Send {
     /// delivered to all nodes (including this one) in sequence order.
     fn submit_tob(&self, payload: Vec<u8>);
 
-    /// The channel on which this node's events arrive, fully demultiplexed
-    /// and (for TOB) already released in gap-free sequence order.
-    ///
-    /// Exposing the receiver — rather than only a polling call — lets the
-    /// orchestration layer park in a `select!` across its command channel
-    /// and the network instead of busy-polling.
-    fn events(&self) -> &crossbeam::channel::Receiver<NetworkEvent>;
-
-    /// Waits up to `timeout` for the next event. `None` on timeout or
-    /// when the network has shut down.
-    fn recv_timeout(&self, timeout: Duration) -> Option<NetworkEvent> {
-        self.events().recv_timeout(timeout).ok()
-    }
+    /// Installs the sink this node's events are delivered into, fully
+    /// demultiplexed and (for TOB) already released in gap-free
+    /// sequence order. The transport calls it from its own delivery
+    /// thread, one event at a time, so the sink must not block: the
+    /// orchestration layer's sink pushes onto the router's inbox.
+    /// Events that arrived before the call are forwarded first, in
+    /// order. Called once, before the node's event loop starts.
+    fn set_event_sink(&mut self, sink: EventSink);
 
     /// Attaches a metrics registry: implementations register their
     /// per-peer traffic counters (`theta_net_messages_sent_total`,

@@ -50,9 +50,8 @@
 //! sequencer connection.
 //!
 //! Per node, one demultiplexer thread owns the TOB reorder buffer (and,
-//! on node 1, the sequencer state) and feeds a single ordered event
-//! channel, which [`Network::events`] exposes for `select!`-style
-//! consumption.
+//! on node 1, the sequencer state) and feeds one ordered event stream
+//! into the sink installed by [`Network::set_event_sink`].
 //!
 //! Link-health observability: write failures no longer vanish into
 //! `let _ =` — they count into `theta_tcp_send_errors_total` — and a
@@ -63,8 +62,10 @@
 
 use crate::demux::{span_hex, span_of, SPAN_LEN};
 use crate::handshake::{self, MeshAuth, RecvCipher, SendCipher};
-use crate::{Network, NetworkError, NetworkEvent, NodeId, PeerTraffic, TobReorderBuffer};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::{
+    EventOutlet, EventSink, Network, NetworkError, NetworkEvent, NodeId, PeerTraffic,
+    TobReorderBuffer,
+};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -72,6 +73,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use theta_metrics::{TraceEventKind, TraceJournal};
+use theta_sync::channel::{unbounded, Receiver, Sender};
 
 pub(crate) const TAG_P2P: u8 = 0;
 pub(crate) const TAG_TOB_SUBMIT: u8 = 1;
@@ -267,8 +269,8 @@ impl Shared {
 pub struct TcpMeshNode {
     shared: Arc<Shared>,
     n: usize,
-    /// Ordered, demultiplexed events (what [`Network::events`] exposes).
-    events: Receiver<NetworkEvent>,
+    /// Where the demux delivers ordered events.
+    outlet: Arc<EventOutlet>,
     /// Raw inbound channel into the demux thread; also used for the
     /// sequencer's own TOB submissions so all ordering happens in one
     /// place. Held here to keep the demux alive as long as the node.
@@ -408,9 +410,9 @@ impl TcpMesh {
         for (stream, peer, recv) in readers {
             spawn_reader(stream, peer, recv, raw_tx.clone(), shared.clone());
         }
-        let (events_tx, events_rx) = unbounded::<NetworkEvent>();
-        spawn_demux(raw_rx, events_tx, shared.clone(), n);
-        Ok(TcpMeshNode { shared, n, events: events_rx, raw_tx })
+        let outlet = Arc::new(EventOutlet::new());
+        spawn_demux(raw_rx, outlet.clone(), shared.clone(), n);
+        Ok(TcpMeshNode { shared, n, outlet, raw_tx })
     }
 }
 
@@ -501,11 +503,11 @@ fn spawn_reader(
 
 /// The per-node demultiplexer: single owner of the TOB reorder buffer
 /// (and of the sequencer state on node 1), turning the raw inbound
-/// stream into one ordered [`NetworkEvent`] channel.
+/// stream into one ordered [`NetworkEvent`] stream.
 // theta: event-loop
 fn spawn_demux(
     raw_rx: Receiver<Inbound>,
-    events_tx: Sender<NetworkEvent>,
+    outlet: Arc<EventOutlet>,
     shared: Arc<Shared>,
     n: usize,
 ) {
@@ -570,13 +572,19 @@ fn spawn_demux(
                     }
                 };
                 for ev in released {
-                    if events_tx.send(ev).is_err() {
-                        return; // node handle gone
-                    }
+                    outlet.deliver(ev);
                 }
             }
         })
         .expect("spawn demux");
+}
+
+impl TcpMeshNode {
+    /// Waits up to `timeout` for this node's next event. Only events
+    /// that arrive before [`Network::set_event_sink`] are returned here.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<NetworkEvent> {
+        self.outlet.recv_timeout(timeout)
+    }
 }
 
 impl Drop for TcpMeshNode {
@@ -639,8 +647,8 @@ impl Network for TcpMeshNode {
         }
     }
 
-    fn events(&self) -> &Receiver<NetworkEvent> {
-        &self.events
+    fn set_event_sink(&mut self, sink: EventSink) {
+        self.outlet.install(sink);
     }
 
     fn attach_registry(&mut self, registry: &Arc<theta_metrics::MetricsRegistry>) {

@@ -40,6 +40,17 @@
 //! flag and re-claims if submissions crossed the threshold mid-flush.
 //! Checks enqueued during a flush below the threshold are not lost
 //! either: they stay on the list for the age-based flush to collect.
+//!
+//! The age flush is armed by the router, which blocks until the oldest
+//! pending check's deadline ([`batch_oldest`]). That read returns
+//! nothing while a flush is claimed — the claimed flush will take the
+//! list, so a deadline for it would only fire again and again. Two
+//! transitions can therefore leave the router's deadline stale, and
+//! both tell the caller to wake the router: a submission that makes the
+//! list non-empty without claiming ([`Submitted::Wake`]), and a
+//! hand-back that leaves checks behind ([`Finished::Wake`]). Hence the
+//! invariant the loom model checks: once all threads are quiet, the
+//! list is empty or a wake was sent after the router last armed.
 
 use crate::mailbox::{Mailbox, PushError};
 use theta_sync::atomic::{AtomicBool, Ordering};
@@ -104,30 +115,50 @@ pub fn drain_apply<T>(mailbox: &Mailbox<T>, scratch: &mut Vec<T>, mut apply: imp
     }
 }
 
+/// What a [`batch_submit`] obliges its caller to do.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Submitted {
+    /// The caller claimed the flush duty and must run the flush loop
+    /// ([`batch_take`] → settle → [`batch_finish`] until it stops
+    /// asking for another round).
+    Flush,
+    /// The list went from empty to non-empty without a claim: the
+    /// router's deadline does not cover it yet, so wake the router.
+    Wake,
+    /// Nothing: the list was already pending (the router's deadline,
+    /// or a claimed flush, covers it).
+    Nothing,
+}
+
 /// Submitter-side batch handshake: appends `items` to the shared
-/// pending list and, iff the list reached `threshold` *and* no flush is
-/// in progress, claims the flush duty. Returns `true` when the caller
-/// now owns the duty and must run the flush loop
-/// ([`batch_take`] → settle → [`batch_finish`] until it reports no
-/// re-claim).
+/// pending list and claims the flush duty iff the list reached
+/// `threshold` *and* no flush is in progress.
 pub fn batch_submit<T>(
     pending: &Mutex<Vec<T>>,
     flush_claimed: &AtomicBool,
     items: impl IntoIterator<Item = T>,
     threshold: usize,
-) -> bool {
-    let len = {
+) -> Submitted {
+    let (was_empty, len) = {
         let mut p = pending.lock().expect("batch list poisoned");
+        let was_empty = p.is_empty();
         p.extend(items);
-        p.len()
+        (was_empty, p.len())
     };
     // Push-then-claim, mirroring schedule_core's push-then-swap: a
     // flusher that observes `flush_claimed == false` in `batch_finish`
     // and then re-checks the list cannot miss these items.
-    len >= threshold
+    if len >= threshold
         && flush_claimed
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
+    {
+        Submitted::Flush
+    } else if was_empty && len > 0 {
+        Submitted::Wake
+    } else {
+        Submitted::Nothing
+    }
 }
 
 /// Flusher-side: swaps the whole pending list out for settlement. Also
@@ -137,23 +168,60 @@ pub fn batch_take<T>(pending: &Mutex<Vec<T>>) -> Vec<T> {
     std::mem::take(&mut *pending.lock().expect("batch list poisoned"))
 }
 
+/// What a [`batch_finish`] hand-back leaves the flusher to do.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Finished {
+    /// Submissions crossed the threshold mid-flush; the duty was
+    /// re-claimed, so run another take/settle round.
+    Again,
+    /// The duty is released with checks left on the list. The router
+    /// skipped them while the flush was claimed: wake it to arm their
+    /// age flush.
+    Wake,
+    /// The duty is released and the list is empty.
+    Idle,
+}
+
 /// Flusher-side hand-back, run *after* the taken batch was settled:
 /// releases the flush duty, then re-checks the list; if submissions
 /// crossed `threshold` mid-flush (their `batch_submit` saw the flag
-/// held and could not claim), re-claims. Returns `true` when the caller
-/// must run another take/settle round — the no-lost-size-flush
+/// held and could not claim), re-claims — the no-lost-size-flush
 /// guarantee, same argument as [`unschedule`].
 pub fn batch_finish<T>(
     pending: &Mutex<Vec<T>>,
     flush_claimed: &AtomicBool,
     threshold: usize,
-) -> bool {
+) -> Finished {
     flush_claimed.store(false, Ordering::SeqCst);
     let len = pending.lock().expect("batch list poisoned").len();
-    len >= threshold
+    if len >= threshold
         && flush_claimed
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
+    {
+        Finished::Again
+    } else if len > 0 {
+        Finished::Wake
+    } else {
+        Finished::Idle
+    }
+}
+
+/// Router-side arming read: `key` of the oldest pending item, or `None`
+/// when the list is empty or a flush is claimed (that flush will take
+/// the list; [`Finished::Wake`] re-arms the router if it leaves any).
+/// The flag is read under the list lock, so the read orders against
+/// both wake-producing transitions.
+pub fn batch_oldest<T, K>(
+    pending: &Mutex<Vec<T>>,
+    flush_claimed: &AtomicBool,
+    key: impl FnOnce(&T) -> K,
+) -> Option<K> {
+    let p = pending.lock().expect("batch list poisoned");
+    if flush_claimed.load(Ordering::SeqCst) {
+        return None;
+    }
+    p.first().map(key)
 }
 
 /// Claims the flush duty outside the size path — the router's age-based
@@ -174,16 +242,16 @@ mod tests {
     fn batch_handshake_claims_exactly_at_threshold() {
         let pending: Mutex<Vec<u32>> = Mutex::new(Vec::new());
         let claimed = AtomicBool::new(false);
-        assert!(!batch_submit(&pending, &claimed, [1], 3), "below threshold");
-        assert!(!batch_submit(&pending, &claimed, [2], 3), "still below");
-        assert!(batch_submit(&pending, &claimed, [3], 3), "crossing claims");
+        assert_eq!(batch_submit(&pending, &claimed, [1], 3), Submitted::Wake, "first pending");
+        assert_eq!(batch_submit(&pending, &claimed, [2], 3), Submitted::Nothing);
+        assert_eq!(batch_submit(&pending, &claimed, [3], 3), Submitted::Flush, "crossing");
         // While the flush is claimed, further threshold crossings must
         // not claim a second flusher.
-        assert!(!batch_submit(&pending, &claimed, [4, 5, 6], 3));
+        assert_eq!(batch_submit(&pending, &claimed, [4, 5, 6], 3), Submitted::Nothing);
         let batch = batch_take(&pending);
         assert_eq!(batch, vec![1, 2, 3, 4, 5, 6]);
         // Nothing arrived mid-flush: the hand-back releases the duty.
-        assert!(!batch_finish(&pending, &claimed, 3));
+        assert_eq!(batch_finish(&pending, &claimed, 3), Finished::Idle);
         assert!(!claimed.load(Ordering::SeqCst));
     }
 
@@ -191,24 +259,40 @@ mod tests {
     fn batch_finish_reclaims_when_submissions_crossed_mid_flush() {
         let pending: Mutex<Vec<u32>> = Mutex::new(Vec::new());
         let claimed = AtomicBool::new(false);
-        assert!(batch_submit(&pending, &claimed, [1, 2], 2));
+        assert_eq!(batch_submit(&pending, &claimed, [1, 2], 2), Submitted::Flush);
         let first = batch_take(&pending);
         assert_eq!(first, vec![1, 2]);
         // A whole batch worth of checks lands while we are settling:
         // its submitter saw the flag held and did not claim.
-        assert!(!batch_submit(&pending, &claimed, [3, 4], 2));
+        assert_eq!(batch_submit(&pending, &claimed, [3, 4], 2), Submitted::Wake);
         // The hand-back must pick that duty up — otherwise the size
         // flush is lost and those checks wait for the age fallback.
-        assert!(batch_finish(&pending, &claimed, 2), "mid-flush crossing must re-claim");
+        assert_eq!(batch_finish(&pending, &claimed, 2), Finished::Again);
         assert_eq!(batch_take(&pending), vec![3, 4]);
-        assert!(!batch_finish(&pending, &claimed, 2));
+        assert_eq!(batch_finish(&pending, &claimed, 2), Finished::Idle);
         // Sub-threshold leftovers do not spin the flush loop...
-        assert!(!batch_submit(&pending, &claimed, [5], 2));
+        assert_eq!(batch_submit(&pending, &claimed, [5], 2), Submitted::Wake);
         assert!(batch_claim(&claimed), "age path can claim an idle duty");
         assert_eq!(batch_take(&pending), vec![5]);
-        assert!(!batch_finish(&pending, &claimed, 2));
+        assert_eq!(batch_finish(&pending, &claimed, 2), Finished::Idle);
         // ...and a claim attempt during a flush is refused.
         assert!(batch_claim(&claimed));
         assert!(!batch_claim(&claimed));
+    }
+
+    #[test]
+    fn arming_skips_a_claimed_list_and_the_release_asks_for_a_wake() {
+        let pending: Mutex<Vec<u32>> = Mutex::new(Vec::new());
+        let claimed = AtomicBool::new(false);
+        assert_eq!(batch_oldest(&pending, &claimed, |v| *v), None);
+        assert_eq!(batch_submit(&pending, &claimed, [7], 4), Submitted::Wake);
+        assert_eq!(batch_oldest(&pending, &claimed, |v| *v), Some(7));
+        assert!(batch_claim(&claimed));
+        // Claimed: no deadline, or the router would fire on it forever.
+        assert_eq!(batch_oldest(&pending, &claimed, |v| *v), None);
+        let _ = batch_take(&pending);
+        assert_eq!(batch_submit(&pending, &claimed, [8], 4), Submitted::Wake);
+        assert_eq!(batch_finish(&pending, &claimed, 4), Finished::Wake, "leftover");
+        assert_eq!(batch_oldest(&pending, &claimed, |v| *v), Some(8));
     }
 }

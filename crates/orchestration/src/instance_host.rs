@@ -3,7 +3,7 @@
 //! An [`InstanceHost`] owns a [`ProtocolDriver`] plus everything a
 //! worker needs to run it without consulting the router: the request
 //! (for envelope framing), a private RNG, the observability handles and
-//! the upcall channel back to the router. All of an instance's messages
+//! the router's inbox for upcalls. All of an instance's messages
 //! are applied here *sequentially* — the worker-pool scheduling
 //! handshake guarantees at most one worker runs a given host at a time,
 //! so the protocol state needs no lock of its own — while hosts of
@@ -14,8 +14,8 @@
 //! enforces that split: protocol crypto on a thread named
 //! `theta-router-*` is a bug.
 
+use crate::router::RouterMsg;
 use crate::{Envelope, InstanceId, Request};
-use crossbeam::channel::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 use theta_codec::Encode;
@@ -26,6 +26,7 @@ use theta_network::NodeId;
 use theta_protocols::{InboundMessage, ProtocolDriver, ProtocolOutput, ProtocolStats, RoundOutput};
 use theta_schemes::batch::PendingCheck;
 use theta_schemes::{PartyId, SchemeError};
+use theta_sync::channel::Sender;
 
 /// Work the router forwards to an instance's mailbox.
 pub(crate) enum HostMsg {
@@ -95,7 +96,7 @@ pub(crate) struct InstanceHost {
     rng: rand::rngs::StdRng,
     obs: Arc<NodeObservability>,
     shares_rejected: Arc<Counter>,
-    upcalls: Sender<Upcall>,
+    upcalls: Sender<RouterMsg>,
 }
 
 impl InstanceHost {
@@ -108,7 +109,7 @@ impl InstanceHost {
         rng: rand::rngs::StdRng,
         obs: Arc<NodeObservability>,
         shares_rejected: Arc<Counter>,
-        upcalls: Sender<Upcall>,
+        upcalls: Sender<RouterMsg>,
     ) -> InstanceHost {
         InstanceHost { id, driver, request, sender, rng, obs, shares_rejected, upcalls }
     }
@@ -292,10 +293,12 @@ impl InstanceHost {
         if p2p.is_empty() && tob.is_empty() {
             return;
         }
-        let _ = self.upcalls.send(Upcall::Broadcast { id: self.id, p2p, tob });
+        let broadcast = Upcall::Broadcast { id: self.id, p2p, tob };
+        let _ = self.upcalls.send(RouterMsg::Upcall(broadcast));
     }
 
     fn finish(&self, outcome: Result<ProtocolOutput, SchemeError>, stats: ProtocolStats) {
-        let _ = self.upcalls.send(Upcall::Finished { id: self.id, outcome, stats });
+        let finished = Upcall::Finished { id: self.id, outcome, stats };
+        let _ = self.upcalls.send(RouterMsg::Upcall(finished));
     }
 }

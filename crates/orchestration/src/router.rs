@@ -2,7 +2,11 @@
 //!
 //! The router owns everything *about* instances — the registry, the
 //! result cache, deadlines, retry schedules, subscriber lists and the
-//! network handle — but never runs protocol crypto itself. Each
+//! network handle — but never runs protocol crypto itself. Every input
+//! it reacts to (client submissions, worker upcalls, network events,
+//! batch-aggregator wakes) arrives on one inbox channel, and the thread
+//! blocks on that inbox until the next message or its earliest
+//! deadline, whichever comes first. Each
 //! `do_round` / `update` / `finalize` happens inside an
 //! [`InstanceHost`](crate::instance_host::InstanceHost) on one of N pool
 //! workers; the router only demultiplexes network events onto bounded
@@ -24,7 +28,6 @@ use crate::cache::ResultCache;
 use crate::instance_host::{HostMsg, InstanceHost, Upcall};
 use crate::worker_pool::{schedule, InstanceSlot, PoolJob, WorkerPool};
 use crate::{Envelope, InstanceId, KeyChest, KeyProvider, Request, StaticKeys};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use rand::{RngCore, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -44,9 +47,12 @@ use theta_protocols::one_round::{
 };
 use theta_protocols::{InboundMessage, ProtocolDriver, ProtocolOutput, ThresholdRoundProtocol};
 use theta_schemes::{PartyId, SchemeError};
+use theta_sync::channel::{
+    unbounded, Receiver, RecvTimeoutError, SendError, Sender, TryRecvError,
+};
 
-/// Upper bound on network events drained per wakeup, so one firehose
-/// burst cannot starve command processing or timer service.
+/// Upper bound on inbox messages handled per wakeup, so one firehose
+/// burst cannot starve timer service.
 const EVENT_BATCH: usize = 64;
 
 /// Node-level configuration knobs.
@@ -229,7 +235,7 @@ pub type CompletionFn = Box<dyn FnOnce(InstanceResult) + Send>;
 /// callback with [`SchemeError::Shutdown`] — callback submitters get the
 /// same always-a-terminal-result guarantee channel waiters get from a
 /// disconnect.
-struct NotifyGuard {
+pub(crate) struct NotifyGuard {
     instance: InstanceId,
     f: Option<CompletionFn>,
 }
@@ -267,7 +273,7 @@ impl Drop for NotifyGuard {
 /// One party interested in an instance's terminal result: either a
 /// channel being waited on ([`PendingResult`]) or a completion callback
 /// (the event-loop front-end's wakeup path).
-enum Subscriber {
+pub(crate) enum Subscriber {
     Channel(Sender<InstanceResult>),
     Notify(NotifyGuard),
 }
@@ -286,14 +292,25 @@ impl Subscriber {
     }
 }
 
-enum Command {
+/// Everything the router thread reacts to, on its one inbox.
+pub(crate) enum RouterMsg {
+    /// A client request and where its terminal result goes.
     Submit { request: Request, reply: Subscriber },
+    /// Stop, letting live instances finish for up to `drain`.
     Shutdown { drain: Duration },
+    /// A worker's report about one instance.
+    Upcall(Upcall),
+    /// A demultiplexed delivery from the network.
+    Net(NetworkEvent),
+    /// The batch aggregator's age-flush deadline may have moved (checks
+    /// became pending, or a flush released its claim with checks left
+    /// over): the loop re-reads it before blocking again.
+    BatchWake,
 }
 
 /// Handle to a running Thetacrypt node (router thread + worker pool).
 pub struct NodeHandle {
-    tx: Sender<Command>,
+    tx: Sender<RouterMsg>,
     join: Option<std::thread::JoinHandle<()>>,
     party: PartyId,
     obs: Arc<NodeObservability>,
@@ -312,7 +329,7 @@ impl NodeHandle {
         self.queue_depth.fetch_add(1, Ordering::SeqCst);
         if self
             .tx
-            .send(Command::Submit { request, reply: Subscriber::Channel(reply_tx) })
+            .send(RouterMsg::Submit { request, reply: Subscriber::Channel(reply_tx) })
             .is_err()
         {
             // The router thread is gone; dropping the reply sender makes
@@ -345,7 +362,7 @@ impl NodeHandle {
         self.queue_depth.fetch_add(1, Ordering::SeqCst);
         if self
             .tx
-            .send(Command::Submit { request, reply: Subscriber::Channel(reply_tx) })
+            .send(RouterMsg::Submit { request, reply: Subscriber::Channel(reply_tx) })
             .is_err()
         {
             self.queue_depth.fetch_sub(1, Ordering::SeqCst);
@@ -379,13 +396,13 @@ impl NodeHandle {
         }
         let guard = NotifyGuard::new(request.instance_id(), Box::new(on_complete));
         self.queue_depth.fetch_add(1, Ordering::SeqCst);
-        if let Err(crossbeam::channel::SendError(cmd)) =
-            self.tx.send(Command::Submit { request, reply: Subscriber::Notify(guard) })
+        if let Err(SendError(msg)) =
+            self.tx.send(RouterMsg::Submit { request, reply: Subscriber::Notify(guard) })
         {
             self.queue_depth.fetch_sub(1, Ordering::SeqCst);
             // Defuse before dropping: the synchronous NodeStopped below
             // is the caller's answer, the guard must not also fire.
-            if let Command::Submit { reply: Subscriber::Notify(mut guard), .. } = cmd {
+            if let RouterMsg::Submit { reply: Subscriber::Notify(mut guard), .. } = msg {
                 guard.defuse();
             }
             return Err(SubmitError::NodeStopped);
@@ -414,7 +431,7 @@ impl NodeHandle {
     /// [`SchemeError::Shutdown`]; every subscriber receives a terminal
     /// result either way.
     pub fn shutdown(mut self) {
-        let _ = self.tx.send(Command::Shutdown { drain: self.drain });
+        let _ = self.tx.send(RouterMsg::Shutdown { drain: self.drain });
         if let Some(j) = self.join.take() {
             let _ = j.join();
         }
@@ -425,7 +442,7 @@ impl Drop for NodeHandle {
     fn drop(&mut self) {
         // Fail-fast drain: no finish window, but subscribers still get
         // their Shutdown terminal results.
-        let _ = self.tx.send(Command::Shutdown { drain: Duration::ZERO });
+        let _ = self.tx.send(RouterMsg::Shutdown { drain: Duration::ZERO });
         if let Some(j) = self.join.take() {
             let _ = j.join();
         }
@@ -460,7 +477,12 @@ pub fn spawn_node_with_keys(
 ) -> NodeHandle {
     network.attach_registry(&obs.registry);
     network.attach_journal(&obs.journal);
-    let (tx, rx) = unbounded::<Command>();
+    let (tx, rx) = unbounded::<RouterMsg>();
+    let net_tx = tx.clone();
+    network.set_event_sink(Box::new(move |event| {
+        // Fails only once the router has exited; the event is moot then.
+        let _ = net_tx.send(RouterMsg::Net(event));
+    }));
     let party = PartyId(network.node_id());
     let queue_depth = Arc::new(AtomicUsize::new(0));
     let overload_rejections = obs
@@ -470,9 +492,12 @@ pub fn spawn_node_with_keys(
     let drain = config.shutdown_drain;
     let thread_obs = obs.clone();
     let thread_depth = queue_depth.clone();
+    let inbox_tx = tx.clone();
     let join = std::thread::Builder::new()
         .name(format!("theta-router-{}", party.value()))
-        .spawn(move || Router::new(keys, network, config, rx, thread_obs, thread_depth).run())
+        .spawn(move || {
+            Router::new(keys, network, config, rx, inbox_tx, thread_obs, thread_depth).run()
+        })
         .expect("spawn router thread");
     NodeHandle {
         tx,
@@ -574,7 +599,9 @@ struct Router {
     keys: Box<dyn KeyProvider>,
     network: Box<dyn Network>,
     config: NodeConfig,
-    commands: Receiver<Command>,
+    /// The router's one input: submissions, upcalls, network events and
+    /// batch wakes, in arrival order.
+    inbox: Receiver<RouterMsg>,
     queue_depth: Arc<AtomicUsize>,
     instances: InstanceMap,
     finished: ResultCache<InstanceResult>,
@@ -591,8 +618,8 @@ struct Router {
     /// The node-wide cross-instance batch aggregator, shared with every
     /// worker. The router only triggers its age/shutdown flushes.
     agg: Arc<BatchAggregator>,
-    upcall_tx: Sender<Upcall>,
-    upcall_rx: Receiver<Upcall>,
+    /// Handed to each instance host for its upcalls.
+    inbox_tx: Sender<RouterMsg>,
     /// Master RNG: only ever used to derive per-host seeds; all protocol
     /// randomness is drawn worker-side.
     rng: rand::rngs::StdRng,
@@ -603,7 +630,8 @@ impl Router {
         keys: Box<dyn KeyProvider>,
         network: Box<dyn Network>,
         config: NodeConfig,
-        commands: Receiver<Command>,
+        inbox: Receiver<RouterMsg>,
+        inbox_tx: Sender<RouterMsg>,
         obs: Arc<NodeObservability>,
         queue_depth: Arc<AtomicUsize>,
     ) -> Self {
@@ -615,14 +643,20 @@ impl Router {
         let metrics = RouterMetrics::resolve(&obs.registry);
         let workers = resolve_worker_threads(config.worker_threads);
         let pool_metrics = PoolMetrics::register(&obs.registry, workers);
-        let agg = Arc::new(BatchAggregator::new(config.batch_flush_size, config.batch_flush_age));
+        let wake_tx = inbox_tx.clone();
+        let agg = Arc::new(BatchAggregator::new(
+            config.batch_flush_size,
+            config.batch_flush_age,
+            Box::new(move || {
+                let _ = wake_tx.send(RouterMsg::BatchWake);
+            }),
+        ));
         let pool = WorkerPool::spawn(workers, network.node_id(), &pool_metrics, agg.clone());
-        let (upcall_tx, upcall_rx) = unbounded::<Upcall>();
         Router {
             keys,
             network,
             config,
-            commands,
+            inbox,
             queue_depth,
             instances: InstanceMap::default(),
             finished,
@@ -634,8 +668,7 @@ impl Router {
             pool_metrics,
             pool,
             agg,
-            upcall_tx,
-            upcall_rx,
+            inbox_tx,
             rng,
         }
     }
@@ -648,10 +681,11 @@ impl Router {
     }
 
     /// Earliest pending deadline across both heaps and the aggregator's
-    /// age flush, if any. Entries may be stale (their instance already
-    /// finished, or a flush in progress will collect the pending
-    /// checks) — a stale head only causes one early wakeup that pops
-    /// (or fails to claim) and discards it.
+    /// age flush, if any. Heap entries may be stale (their instance
+    /// already finished) — a stale head only causes one early wakeup
+    /// that pops and discards it. The age flush is absent while a flush
+    /// is claimed; the aggregator sends a [`RouterMsg::BatchWake`] when
+    /// that changes.
     fn next_deadline(&self) -> Option<Instant> {
         let expiry = self.expiry_heap.peek().map(|Reverse((t, _))| *t);
         let retry = self.retry_heap.peek().map(|Reverse((t, _))| *t);
@@ -670,99 +704,67 @@ impl Router {
 
     // theta: event-loop
     fn run(mut self) {
-        // Clone the receivers out of `self` so the `select!` arms can
-        // call `&mut self` methods without borrow conflicts.
-        let commands = self.commands.clone();
-        let events = self.network.events().clone();
-        let upcalls = self.upcall_rx.clone();
         loop {
-            let timer = match self.next_deadline() {
-                Some(t) => crossbeam::channel::at(t),
-                None => crossbeam::channel::never(),
+            let deadline = self.next_deadline();
+            // theta: allow(blocking): the router's one designated wait — every input arrives on this inbox and the deadline covers expiries, retries and the batch age flush
+            let first = self.inbox.recv_deadline(deadline);
+            // Stamped when the wait returns, so blocked time is excluded
+            // and the router-busy counter measures the serial stage alone.
+            let work_start = Instant::now();
+            EventLoopCounters::bump(&self.counters.wakeups);
+            let mut stop = match first {
+                Ok(msg) => self.handle(msg),
+                Err(RecvTimeoutError::Timeout) => None,
+                // Unreachable while the router holds `inbox_tx`; stop
+                // rather than spin if it ever happens.
+                Err(RecvTimeoutError::Disconnected) => Some(Duration::ZERO),
             };
-            let mut drain_and_stop: Option<Duration> = None;
-            // Re-stamped at the top of each arm — i.e. the moment
-            // `select!` hands us work — so blocked time is excluded and
-            // the router-busy counter measures the serial stage alone.
-            // (Initialized here only because the macro hides the arms'
-            // assignments from definite-assignment analysis.)
-            let mut work_start = Instant::now();
-            crossbeam::select! {
-                recv(commands) -> cmd => {
-                    work_start = Instant::now();
-                    match cmd {
-                        Ok(Command::Submit { request, reply }) => {
-                            self.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                            self.pool_metrics
-                                .submission_queue_depth
-                                .set(self.queue_depth.load(Ordering::SeqCst) as i64);
-                            EventLoopCounters::bump(&self.counters.commands_processed);
-                            self.handle_submit(request, reply);
-                        }
-                        Ok(Command::Shutdown { drain }) => drain_and_stop = Some(drain),
-                        Err(_) => drain_and_stop = Some(Duration::ZERO),
-                    }
-                },
-                // Upcalls before raw events: results and broadcasts the
-                // workers already produced should reach subscribers and
-                // the wire ahead of new inbound work.
-                recv(upcalls) -> up => {
-                    work_start = Instant::now();
-                    if let Ok(u) = up {
-                        self.handle_upcall(u);
-                        for _ in 1..EVENT_BATCH {
-                            match upcalls.try_recv() {
-                                Ok(u) => self.handle_upcall(u),
-                                Err(_) => break,
-                            }
-                        }
-                    }
-                },
-                recv(events) -> ev => {
-                    work_start = Instant::now();
-                    match ev {
-                        Ok(event) => {
-                            // Drain a bounded batch per wakeup: cheaper than
-                            // one select round-trip per event, but still
-                            // yields to commands and timers regularly. Count
-                            // each event *before* handling it — completions
-                            // notify subscribers who may read the counters.
-                            EventLoopCounters::bump(&self.counters.events_processed);
-                            self.handle_network_event(event);
-                            for _ in 1..EVENT_BATCH {
-                                match events.try_recv() {
-                                    Ok(e) => {
-                                        EventLoopCounters::bump(&self.counters.events_processed);
-                                        self.handle_network_event(e);
-                                    }
-                                    Err(_) => break,
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            // The transport died under us: record it so the
-                            // post-mortem shows why the node stopped.
-                            self.note_error(
-                                [0u8; 32],
-                                "network event channel disconnected".into(),
-                            );
-                            drain_and_stop = Some(Duration::ZERO);
-                        }
-                    }
-                },
-                recv(timer) -> _ => { work_start = Instant::now(); }
+            // Drain a bounded batch per wakeup: cheaper than one blocking
+            // round-trip per message, but timers still run regularly.
+            for _ in 1..EVENT_BATCH {
+                if stop.is_some() {
+                    break;
+                }
+                match self.inbox.try_recv() {
+                    Ok(msg) => stop = self.handle(msg),
+                    Err(_) => break,
+                }
             }
-            if let Some(drain) = drain_and_stop {
+            if let Some(drain) = stop {
                 self.shutdown(drain);
                 return;
             }
-            EventLoopCounters::bump(&self.counters.wakeups);
             let now = Instant::now();
             self.expire_instances(now);
             self.retry_due(now);
             self.flush_if_aged(now);
             self.pool_metrics.router_busy_nanos.add(work_start.elapsed().as_nanos() as u64);
         }
+    }
+
+    /// Applies one inbox message; `Some(drain)` asks the loop to stop.
+    fn handle(&mut self, msg: RouterMsg) -> Option<Duration> {
+        match msg {
+            RouterMsg::Submit { request, reply } => {
+                self.queue_depth.fetch_sub(1, Ordering::SeqCst);
+                self.pool_metrics
+                    .submission_queue_depth
+                    .set(self.queue_depth.load(Ordering::SeqCst) as i64);
+                EventLoopCounters::bump(&self.counters.commands_processed);
+                self.handle_submit(request, reply);
+            }
+            RouterMsg::Shutdown { drain } => return Some(drain),
+            RouterMsg::Upcall(upcall) => self.handle_upcall(upcall),
+            RouterMsg::Net(event) => {
+                // Counted *before* handling — completions notify
+                // subscribers who may read the counters.
+                EventLoopCounters::bump(&self.counters.events_processed);
+                self.handle_network_event(event);
+            }
+            // The loop re-reads the aggregator's deadline next.
+            RouterMsg::BatchWake => {}
+        }
+        None
     }
 
     /// Drain phase: give live instances up to `drain` to finish (network
@@ -772,8 +774,6 @@ impl Router {
     // theta: event-loop
     fn shutdown(&mut self, drain: Duration) {
         let deadline = Instant::now() + drain;
-        let events = self.network.events().clone();
-        let upcalls = self.upcall_rx.clone();
         // Settle whatever the aggregator holds so draining instances
         // whose checks are parked there can still reach quorum.
         if self.agg.claim_for_shutdown() {
@@ -781,19 +781,17 @@ impl Router {
         }
         while !self.instances.is_empty() && Instant::now() < deadline {
             let wake = self.next_deadline().map_or(deadline, |t| t.min(deadline));
-            let timer = crossbeam::channel::at(wake);
-            crossbeam::select! {
-                recv(upcalls) -> up => if let Ok(u) = up {
-                    self.handle_upcall(u);
-                },
-                recv(events) -> ev => match ev {
-                    Ok(event) => {
-                        EventLoopCounters::bump(&self.counters.events_processed);
-                        self.handle_network_event(event);
-                    }
-                    Err(_) => break,
-                },
-                recv(timer) -> _ => {}
+            // theta: allow(blocking): the drain phase's designated wait on the same single inbox, bounded by the drain deadline
+            match self.inbox.recv_deadline(Some(wake)) {
+                // Only the handle submits, and the handle is gone or
+                // shutting down. Dropping a reply still answers it
+                // (NodeStopped for a channel, Shutdown for a callback).
+                Ok(RouterMsg::Submit { .. } | RouterMsg::Shutdown { .. }) => {}
+                Ok(msg) => {
+                    let _ = self.handle(msg);
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
             }
             let now = Instant::now();
             self.expire_instances(now);
@@ -974,7 +972,7 @@ impl Router {
             host_rng,
             self.obs.clone(),
             self.metrics.shares_rejected.clone(),
-            self.upcall_tx.clone(),
+            self.inbox_tx.clone(),
         );
         let slot = Arc::new(InstanceSlot::new(id, self.config.mailbox_capacity, host));
         let now = Instant::now();
@@ -1460,8 +1458,8 @@ mod tests {
 
     #[test]
     fn idle_router_does_not_spin() {
-        // With no instances and no traffic, the loop must park in its
-        // select rather than busy-poll: the wakeup counter stays flat.
+        // With no instances and no traffic, the loop must block on its
+        // inbox rather than busy-poll: the wakeup counter stays flat.
         let (_hub, mut nets) = build_network(1);
         let handle = spawn_node(KeyChest::new(), nets.pop().unwrap(), NodeConfig::default());
         std::thread::sleep(Duration::from_millis(200));
@@ -1922,12 +1920,17 @@ mod tests {
                 } else {
                     honest_keys[i].clone()
                 });
+                // One wide batch window: every share of both instances,
+                // the forged ones included, lands in the same settle.
+                // With a narrow window the honest shares can reach
+                // quorum before the forger's (it joins on first
+                // contact, so its share is always last) is ever checked.
                 spawn_node(
                     chest,
                     net,
                     NodeConfig {
-                        batch_flush_size: 4,
-                        batch_flush_age: Duration::from_millis(2),
+                        batch_flush_size: 64,
+                        batch_flush_age: Duration::from_millis(50),
                         ..Default::default()
                     },
                 )

@@ -20,13 +20,13 @@ use crate::handshake::{drain_apply, schedule_core, unschedule};
 use crate::instance_host::{HostMsg, InstanceHost};
 use crate::mailbox::{Mailbox, PushError};
 use crate::InstanceId;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 use theta_metrics::{profiler, PoolMetrics, WorkerPhase};
 use theta_schemes::batch::PendingCheck;
 use theta_schemes::PartyId;
 use theta_sync::atomic::AtomicBool;
+use theta_sync::channel::{unbounded, Receiver, Sender};
 use theta_sync::Mutex;
 
 /// One live instance's scheduling state.

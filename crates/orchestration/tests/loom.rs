@@ -23,13 +23,17 @@
 //!    result, but only one succeeds;
 //! 6. the batch-flush handshake settles every submitted check exactly
 //!    once: a check enqueued *while* another thread is mid-flush is
-//!    neither lost nor double-verified, and the flush duty never leaks.
+//!    neither lost nor double-verified, and the flush duty never leaks;
+//!    and no check is stranded: once all threads are quiet, the pending
+//!    list is empty or a router wake was sent after the router last
+//!    armed its age-flush deadline.
 
 #![cfg(feature = "loom")]
 
 use std::sync::Arc;
 use theta_orchestration::handshake::{
-    batch_claim, batch_finish, batch_submit, batch_take, drain_apply, schedule_core, unschedule,
+    batch_claim, batch_finish, batch_oldest, batch_submit, batch_take, drain_apply,
+    schedule_core, unschedule, Finished, Submitted,
 };
 use theta_orchestration::mailbox::{Mailbox, PushError};
 use theta_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -290,13 +294,23 @@ fn terminal_result_is_claimed_exactly_once() {
     });
 }
 
-/// Model 6 (exhaustive) — the batch-flush handshake: two workers race
-/// `batch_submit` on one aggregator (threshold 2). Whoever claims the
-/// flush duty runs the production take/settle/finish loop; a check
-/// submitted while the other thread is mid-flush must be either swept
-/// into that flush's re-claim round or left on the list for the age
-/// path — settled exactly once, never lost, never twice. The duty flag
-/// must always come back released (or claimable) at the end.
+/// Model 6 — the batch-flush handshake, in two rounds (the size round
+/// exhaustive, the three-thread age round preemption-bounded).
+///
+/// Size flushes: two workers race `batch_submit` on one aggregator.
+/// Whoever claims the flush duty runs the production
+/// take/settle/finish loop; a check submitted while the other thread is
+/// mid-flush must be either swept into that flush's re-claim round or
+/// left on the list for the age path — settled exactly once, never
+/// lost, never twice. The duty flag must always come back released.
+///
+/// Age flush: the router has claimed an age flush of one pending check
+/// and handed it to a worker; a second check is submitted concurrently,
+/// and the router arms its next deadline ([`batch_oldest`], which sees
+/// nothing while the flush is claimed). Besides exactly-once, no check
+/// may be stranded: at quiescence the list is empty, or the arming read
+/// saw it, or a wake (`Submitted::Wake` / `Finished::Wake`) was sent
+/// after the read began — otherwise the router would sleep past it.
 #[test]
 fn batch_flush_settles_every_check_exactly_once() {
     // threshold 1: every submission may claim, so one thread is usually
@@ -304,48 +318,115 @@ fn batch_flush_settles_every_check_exactly_once() {
     // races. threshold 2: only the crossing submission claims — the
     // single-flusher sweep-up races.
     for threshold in [1usize, 2] {
-        model_bounded(usize::MAX, move || {
-            let pending: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-            let claimed = Arc::new(AtomicBool::new(false));
-            let settled: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-
-            let submitters: Vec<_> = (0..2u64)
-                .map(|item| {
-                    let pending = pending.clone();
-                    let claimed = claimed.clone();
-                    let settled = settled.clone();
-                    thread::spawn(move || {
-                        // Each submitter contributes one check; a claim
-                        // obliges it to run the production flush loop.
-                        if batch_submit(&pending, &claimed, [item], threshold) {
-                            loop {
-                                let batch = batch_take(&pending);
-                                settled.lock().unwrap().extend(batch);
-                                if !batch_finish(&pending, &claimed, threshold) {
-                                    break;
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in submitters {
-                h.join().unwrap();
-            }
-
-            // The age/shutdown path collects whatever the size flushes
-            // left behind (a sub-threshold straggler).
-            if batch_claim(&claimed) {
-                let batch = batch_take(&pending);
-                settled.lock().unwrap().extend(batch);
-                assert!(!batch_finish(&pending, &claimed, threshold));
-            }
-
-            let mut seen = settled.lock().unwrap().clone();
-            seen.sort_unstable();
-            assert_eq!(seen, vec![0, 1], "check lost or double-settled (threshold {threshold})");
-            assert!(pending.lock().unwrap().is_empty());
-            assert!(!claimed.load(Ordering::SeqCst), "flush duty leaked");
-        });
+        model_bounded(usize::MAX, move || size_flush_round(threshold));
+        // Three threads: an exhaustive search takes minutes, and every
+        // strand-or-wake ordering of the arming read against the
+        // submit and the hand-back needs at most three preemptions.
+        model_bounded(4, move || age_flush_round(threshold));
     }
+}
+
+/// Shared state of one batch-flush model run.
+#[derive(Clone)]
+struct Batch {
+    pending: Arc<Mutex<Vec<u64>>>,
+    claimed: Arc<AtomicBool>,
+    settled: Arc<Mutex<Vec<u64>>>,
+    wakes: Arc<AtomicUsize>,
+}
+
+impl Batch {
+    fn new(pending: Vec<u64>, claimed: bool) -> Batch {
+        Batch {
+            pending: Arc::new(Mutex::new(pending)),
+            claimed: Arc::new(AtomicBool::new(claimed)),
+            settled: Arc::new(Mutex::new(Vec::new())),
+            wakes: Arc::new(AtomicUsize::new(0)),
+        }
+    }
+
+    /// The production flush loop, run by whoever holds the claim.
+    fn flush(&self, threshold: usize) {
+        loop {
+            let batch = batch_take(&self.pending);
+            self.settled.lock().unwrap().extend(batch);
+            match batch_finish(&self.pending, &self.claimed, threshold) {
+                Finished::Again => {}
+                Finished::Wake => {
+                    self.wakes.fetch_add(1, Ordering::SeqCst);
+                    return;
+                }
+                Finished::Idle => return,
+            }
+        }
+    }
+
+    /// A worker submitting one check (and flushing if that claims).
+    fn submit(&self, item: u64, threshold: usize) {
+        match batch_submit(&self.pending, &self.claimed, [item], threshold) {
+            Submitted::Flush => self.flush(threshold),
+            Submitted::Wake => {
+                self.wakes.fetch_add(1, Ordering::SeqCst);
+            }
+            Submitted::Nothing => {}
+        }
+    }
+
+    /// The age/shutdown path collects whatever the flushes left behind
+    /// (a sub-threshold straggler); then every check must have settled
+    /// exactly once and the duty must be free.
+    fn sweep_and_check(&self, threshold: usize) {
+        if batch_claim(&self.claimed) {
+            let batch = batch_take(&self.pending);
+            self.settled.lock().unwrap().extend(batch);
+            assert_eq!(batch_finish(&self.pending, &self.claimed, threshold), Finished::Idle);
+        }
+        let mut seen = self.settled.lock().unwrap().clone();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1], "check lost or double-settled (threshold {threshold})");
+        assert!(self.pending.lock().unwrap().is_empty());
+        assert!(!self.claimed.load(Ordering::SeqCst), "flush duty leaked");
+    }
+}
+
+fn size_flush_round(threshold: usize) {
+    let b = Batch::new(Vec::new(), false);
+    let submitters: Vec<_> = (0..2u64)
+        .map(|item| {
+            let b = b.clone();
+            thread::spawn(move || b.submit(item, threshold))
+        })
+        .collect();
+    for h in submitters {
+        h.join().unwrap();
+    }
+    b.sweep_and_check(threshold);
+}
+
+fn age_flush_round(threshold: usize) {
+    // Check 0 aged out; the router claimed the flush and a worker runs it.
+    let b = Batch::new(vec![0], true);
+    let flusher = {
+        let b = b.clone();
+        thread::spawn(move || b.flush(threshold))
+    };
+    let submitter = {
+        let b = b.clone();
+        thread::spawn(move || b.submit(1, threshold))
+    };
+    // The router re-arms. Wakes counted from here on reach it after
+    // this read, so it re-arms again for them.
+    let wakes_before = b.wakes.load(Ordering::SeqCst);
+    let armed = batch_oldest(&b.pending, &b.claimed, |_| ());
+    flusher.join().unwrap();
+    submitter.join().unwrap();
+    let stranded = !b.pending.lock().unwrap().is_empty()
+        && armed.is_none()
+        && b.wakes.load(Ordering::SeqCst) == wakes_before;
+    assert!(
+        !stranded,
+        "check stranded: pending at quiescence, unseen by the router's arming read and no wake \
+         since (threshold {threshold})"
+    );
+    b.sweep_and_check(threshold);
 }

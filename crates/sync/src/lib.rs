@@ -20,6 +20,9 @@
 //! The loom mirrors are dual-mode — outside a `model()` call they
 //! delegate to `std` — so a crate compiled with the `loom` feature
 //! still runs its ordinary unit tests unchanged.
+//!
+//! [`channel`] is the workspace's one message channel, built on these
+//! primitives so the loom models cover it too.
 
 #[cfg(not(feature = "loom"))]
 mod imp {
@@ -65,6 +68,8 @@ mod imp {
 }
 
 pub use imp::*;
+
+pub mod channel;
 
 /// True when this build resolves to the loom mirrors (used by tests to
 /// assert they are actually model-checking).

@@ -22,6 +22,10 @@ echo "== loom: exhaustive model checking (metrics counters/histograms) =="
 RUST_BACKTRACE=1 cargo test -q -p theta-metrics --features loom --test loom
 
 echo
+echo "== loom: model checking (theta_sync::channel) =="
+RUST_BACKTRACE=1 cargo test -q -p theta-sync --features loom --test loom
+
+echo
 echo "== loom: dual-mode sanity (unit suites with the loom feature on) =="
 cargo test -q -p theta-orchestration --features loom --lib
 cargo test -q -p theta-metrics --features loom --lib

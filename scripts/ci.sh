@@ -16,7 +16,7 @@ cargo build --release
 
 echo
 echo "== cargo test (workspace) =="
-cargo test -q
+cargo test --workspace -q
 
 echo
 echo "== saturation stress test (release, full 64+ request mix) =="

@@ -304,3 +304,66 @@ fn tcp_mesh_runs_a_real_protocol() {
         assert!(matches!(result.outcome.unwrap(), ProtocolOutput::Signature(_)));
     }
 }
+
+#[test]
+fn first_coin_never_waits_for_a_retry() {
+    // A share check deferred to the batch aggregator after the router
+    // last armed its timer must be flushed at its batch age, not at the
+    // next P2P retry. With the first retry 5 s out, a missed router wake
+    // shows as a first coin far slower than its crypto.
+    use thetacrypt::network::inmemory::{InMemoryConfig, InMemoryHub};
+    use thetacrypt::network::Network;
+    use thetacrypt::orchestration::{spawn_node, KeyChest, NodeConfig};
+    use thetacrypt::schemes::ThresholdParams;
+
+    let mut r = rng();
+    let params = ThresholdParams::new(1, 4).unwrap();
+    for cluster in 0..10 {
+        let (_, keys) = thetacrypt::schemes::cks05::keygen(params, &mut r);
+        let (_hub, nets) = InMemoryHub::build(4, InMemoryConfig::default());
+        let handles: Vec<_> = keys
+            .iter()
+            .zip(nets)
+            .map(|(key, net)| {
+                let mut chest = KeyChest::new();
+                chest.cks05 = Some(key.clone());
+                let config = NodeConfig {
+                    retry_initial_backoff: Duration::from_secs(5),
+                    ..NodeConfig::default()
+                };
+                spawn_node(chest, Box::new(net) as Box<dyn Network>, config)
+            })
+            .collect();
+        let start = std::time::Instant::now();
+        let result = handles[0]
+            .submit(Request::Cks05Coin(format!("first coin {cluster}").into_bytes()))
+            .wait_timeout(Duration::from_secs(20))
+            .expect("coin completes");
+        let elapsed = start.elapsed();
+        assert!(result.outcome.is_ok(), "cluster {cluster}: {:?}", result.outcome);
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "cluster {cluster}: first coin took {elapsed:?} — it waited for a retry"
+        );
+    }
+}
+
+#[test]
+fn idle_cluster_routers_do_not_wake() {
+    let net = ThetaNetworkBuilder::new(1, 4)
+        .with_cks05()
+        .seed(12)
+        .build()
+        .expect("build");
+    // One coin first, so every router has armed (and then passed) the
+    // timers a finished instance leaves behind.
+    net.submit_and_wait(1, Request::Cks05Coin(b"warm".to_vec()))
+        .expect("coin");
+    std::thread::sleep(Duration::from_millis(300));
+    let before: Vec<u64> = (1..=4).map(|id| net.node_counters(id).wakeups).collect();
+    std::thread::sleep(Duration::from_secs(2));
+    for id in 1..=4u16 {
+        let woke = net.node_counters(id).wakeups - before[id as usize - 1];
+        assert!(woke <= 2, "idle router {id} woke {woke} times in 2 s");
+    }
+}
