@@ -8,6 +8,8 @@
 //!   behind `Point::mul_base`, `G1::mul_generator` and
 //!   `Montgomery::pow_precomputed`;
 //! - `msm/*` — naive `Σ sᵢ·Pᵢ` loops vs the Straus/Pippenger kernel;
+//! - `pairing/*` — the affine reference Miller loop (one per pair) vs
+//!   the shared projective multi-Miller loop, for one and four pairs;
 //! - `verify_16/*` — sixteen per-share verifications vs one batched
 //!   random-linear-combination check;
 //! - `combine_t5/*` — the pre-PR serial combine (per-share verify +
@@ -159,6 +161,31 @@ fn bench_msm(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_pairing(c: &mut Criterion) {
+    use theta_math::bn254::{miller_loop_affine, multi_pairing, Fp12, Fr, G1, G2};
+    let mut group = c.benchmark_group("pairing");
+    group.sample_size(10);
+    let mut r = rng();
+    let g1: Vec<G1> = (0..4).map(|_| G1::mul_generator(&Fr::random(&mut r))).collect();
+    let g2: Vec<G2> = (0..4).map(|_| G2::mul_generator(&Fr::random(&mut r))).collect();
+    for n in [1usize, 4] {
+        let pairs: Vec<(&G1, &G2)> = g1.iter().zip(&g2).take(n).collect();
+        group.bench_function(&format!("affine_reference_{n}"), |b| {
+            b.iter(|| {
+                let mut f = Fp12::ONE;
+                for (p, q) in &pairs {
+                    f = f.mul(&miller_loop_affine(black_box(p), q));
+                }
+                f.final_exponentiation()
+            })
+        });
+        group.bench_function(&format!("projective_multi_{n}"), |b| {
+            b.iter(|| multi_pairing(black_box(&pairs)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_verify_16(c: &mut Criterion) {
     let mut group = c.benchmark_group("verify_16");
     group.sample_size(10);
@@ -241,5 +268,12 @@ fn bench_combine_t5(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fixed_base, bench_msm, bench_verify_16, bench_combine_t5);
+criterion_group!(
+    benches,
+    bench_fixed_base,
+    bench_msm,
+    bench_pairing,
+    bench_verify_16,
+    bench_combine_t5
+);
 criterion_main!(benches);

@@ -6,7 +6,10 @@
 //! numbers land in a machine-readable artifact (consumed by DESIGN.md
 //! and the smoke script) rather than only in Criterion's console
 //! output. `--quick` or `CRITERION_QUICK=1` shrinks the measurement
-//! budget for CI smoke runs.
+//! budget for CI smoke runs and only prints the table, so the committed
+//! full-run `BENCH_kernels.json` is left alone. Every run fails when the
+//! pairing product kernel (`pairing/multi4`) is under 2x faster than the
+//! affine reference loop.
 
 use rand::SeedableRng;
 use std::io::Write;
@@ -18,6 +21,10 @@ struct Pair {
     old_ns: f64,
     new_ns: f64,
 }
+
+/// The shared projective multi-Miller loop must beat four affine
+/// reference loops by this factor on `pairing/multi4`.
+const PAIRING_GATE: f64 = 2.0;
 
 fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
@@ -134,6 +141,33 @@ fn main() {
         });
     }
 
+    // Pairings: the affine reference Miller loop (one per pair, dense
+    // lines) vs the shared projective multi-Miller loop, both followed by
+    // the same final exponentiation.
+    {
+        use theta_math::bn254::{miller_loop_affine, multi_pairing, pairing, Fp12, Fr, G1, G2};
+        let g1: Vec<G1> = (0..4).map(|_| G1::mul_generator(&Fr::random(&mut r))).collect();
+        let g2: Vec<G2> = (0..4).map(|_| G2::mul_generator(&Fr::random(&mut r))).collect();
+        let reference = |n: usize| {
+            let mut f = Fp12::ONE;
+            for (p, q) in g1.iter().zip(&g2).take(n) {
+                f = f.mul(&miller_loop_affine(p, q));
+            }
+            f.final_exponentiation()
+        };
+        pairs.push(Pair {
+            name: "pairing/single",
+            old_ns: measure(budget, || reference(1)),
+            new_ns: measure(budget, || pairing(&g1[0], &g2[0])),
+        });
+        let four: Vec<(&G1, &G2)> = g1.iter().zip(&g2).collect();
+        pairs.push(Pair {
+            name: "pairing/multi4",
+            old_ns: measure(budget, || reference(4)),
+            new_ns: measure(budget, || multi_pairing(&four)),
+        });
+    }
+
     // Batched share verification at sixteen shares.
     let msg = b"kernel bench message".to_vec();
     let params16 = ThresholdParams::new(2, 16).unwrap();
@@ -202,7 +236,7 @@ fn main() {
     }
 
     let mut json = String::from("{\n  \"benchmark\": \"scalar-multiplication kernels\",\n");
-    json.push_str(&format!("  \"quick\": {},\n  \"results\": [\n", quick()));
+    json.push_str("  \"quick\": false,\n  \"results\": [\n");
     for (i, p) in pairs.iter().enumerate() {
         let speedup = p.old_ns / p.new_ns;
         println!(
@@ -220,9 +254,24 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_kernels.json");
-    let mut f = std::fs::File::create(&path).expect("create BENCH_kernels.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_kernels.json");
-    println!("wrote {}", path.display());
+    if quick() {
+        println!("quick run: BENCH_kernels.json left unchanged");
+    } else {
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../BENCH_kernels.json");
+        let mut f = std::fs::File::create(&path).expect("create BENCH_kernels.json");
+        f.write_all(json.as_bytes()).expect("write BENCH_kernels.json");
+        println!("wrote {}", path.display());
+    }
+
+    let multi4 = pairs
+        .iter()
+        .find(|p| p.name == "pairing/multi4")
+        .map(|p| p.old_ns / p.new_ns)
+        .unwrap_or(0.0);
+    assert!(
+        multi4 >= PAIRING_GATE,
+        "pairing kernel regressed: pairing/multi4 {multi4:.2}x < {PAIRING_GATE}x"
+    );
+    println!("pairing gate passed: pairing/multi4 {multi4:.2}x >= {PAIRING_GATE}x");
 }

@@ -63,6 +63,9 @@ impl Fp {
     pub const ZERO: Fp = Fp([0, 0, 0, 0]);
     /// The multiplicative identity (R mod p in Montgomery form).
     pub const ONE: Fp = Fp(R1);
+    /// 1/2 = (p + 1)/2, in Montgomery form (R/2 mod p).
+    pub const TWO_INV: Fp =
+        Fp([0x87bee7d24f060572, 0xd0fd2add2f1c6ae5, 0x8f5f7492fcfd4f44, 0x1f37631a3d9cbfac]);
 
     /// The modulus as a [`BigUint`].
     pub fn modulus() -> &'static BigUint {
@@ -182,23 +185,30 @@ impl Fp {
         self.add(self)
     }
 
-    /// Multiplication (Montgomery CIOS).
+    /// Multiplication (Montgomery CIOS, "no-carry" variant).
+    ///
+    /// p's top limb is below 2⁶³ − 1, so each round's two carry chains
+    /// fit in four limbs without the fifth overflow word of textbook
+    /// CIOS (the optimisation gnark-crypto uses for BN254); the result is
+    /// below 2p and one conditional subtraction reduces it.
     #[inline]
     pub fn mul(&self, rhs: &Fp) -> Fp {
-        let a = &self.0;
-        let b = &rhs.0;
-        // Schoolbook 4x4 into 8 limbs, then Montgomery reduce.
-        let mut t = [0u64; 8];
-        for i in 0..4 {
-            let mut carry = 0u64;
-            for j in 0..4 {
-                let (lo, hi) = mac(t[i + j], a[i], b[j], carry);
-                t[i + j] = lo;
-                carry = hi;
+        let (a, b) = (&self.0, &rhs.0);
+        let mut t = [0u64; 4];
+        for bi in b {
+            let (t0, mut carry_ab) = mac(t[0], a[0], *bi, 0);
+            let m = t0.wrapping_mul(P_INV);
+            let (_, mut carry_mp) = mac(t0, m, P[0], 0);
+            for j in 1..4 {
+                let (tj, c) = mac(t[j], a[j], *bi, carry_ab);
+                carry_ab = c;
+                let (tj, c) = mac(tj, m, P[j], carry_mp);
+                carry_mp = c;
+                t[j - 1] = tj;
             }
-            t[i + 4] = carry;
+            t[3] = carry_mp.wrapping_add(carry_ab);
         }
-        Fp(mont_reduce(&mut t))
+        Fp(t).reduce_once()
     }
 
     /// Squaring.
@@ -265,6 +275,76 @@ impl Fp {
         }
         Some(Fp::from_biguint(&v))
     }
+}
+
+/// `(a0·b0 − a1·b1, a0·b1 + a1·b0)`: the F_p² product under u² = −1,
+/// by Karatsuba with lazy reduction — three unreduced 512-bit products
+/// and two Montgomery reductions instead of three full multiplications.
+///
+/// Bounds: the unreduced sums are below 2p, so `(a0+a1)(b0+b1) < 4p²`;
+/// both outputs are taken below 2p² (the real part shifted up by p²),
+/// and everything stays under p·2²⁵⁶ as [`mont_reduce`] requires.
+#[inline]
+pub(crate) fn mul_complex(a0: &Fp, a1: &Fp, b0: &Fp, b1: &Fp) -> (Fp, Fp) {
+    /// p² as 8 little-endian limbs.
+    const P_SQUARED: [u64; 8] = mul_wide(&P, &P);
+    let aa = mul_wide(&a0.0, &b0.0);
+    let bb = mul_wide(&a1.0, &b1.0);
+    let sum = mul_wide(&add_unreduced(&a0.0, &a1.0), &add_unreduced(&b0.0, &b1.0));
+    let mut real = add_wide(&sub_wide(&aa, &bb), &P_SQUARED);
+    let mut imaginary = sub_wide(&sub_wide(&sum, &aa), &bb);
+    (Fp(mont_reduce(&mut real)), Fp(mont_reduce(&mut imaginary)))
+}
+
+/// Schoolbook 4×4-limb product into 8 limbs.
+#[inline(always)]
+const fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
+    let mut t = [0u64; 8];
+    let mut i = 0;
+    while i < 4 {
+        let mut carry = 0u64;
+        let mut j = 0;
+        while j < 4 {
+            let v = t[i + j] as u128 + a[i] as u128 * b[j] as u128 + carry as u128;
+            t[i + j] = v as u64;
+            carry = (v >> 64) as u64;
+            j += 1;
+        }
+        t[i + 4] = carry;
+        i += 1;
+    }
+    t
+}
+
+/// `a + b` without reduction (below 2p < 2²⁵⁵ for reduced inputs).
+#[inline(always)]
+fn add_unreduced(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    let (d0, c) = adc(a[0], b[0], 0);
+    let (d1, c) = adc(a[1], b[1], c);
+    let (d2, c) = adc(a[2], b[2], c);
+    let (d3, _) = adc(a[3], b[3], c);
+    [d0, d1, d2, d3]
+}
+
+#[inline(always)]
+fn add_wide(a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
+    let mut r = [0u64; 8];
+    let mut carry = 0;
+    for i in 0..8 {
+        (r[i], carry) = adc(a[i], b[i], carry);
+    }
+    r
+}
+
+/// `a − b` modulo 2⁵¹²; callers keep the true result non-negative.
+#[inline(always)]
+fn sub_wide(a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
+    let mut r = [0u64; 8];
+    let mut borrow = 0;
+    for i in 0..8 {
+        (r[i], borrow) = sbb(a[i], b[i], borrow);
+    }
+    r
 }
 
 /// Montgomery reduction of an 8-limb value; returns 4 limbs < p.
@@ -346,6 +426,8 @@ mod tests {
     fn one_roundtrip() {
         assert_eq!(Fp::ONE.to_biguint(), BigUint::one());
         assert_eq!(Fp::from_u64(1), Fp::ONE);
+        assert_eq!(Fp::TWO_INV.add(&Fp::TWO_INV), Fp::ONE);
+        assert_eq!(Fp::from_u64(2).invert(), Some(Fp::TWO_INV));
         assert!(Fp::ZERO.is_zero());
     }
 
@@ -364,6 +446,25 @@ mod tests {
                 &(&a.to_biguint() + p) - &b.to_biguint()
             };
             assert_eq!(a.sub(&b).to_biguint(), expect_sub);
+        }
+    }
+
+    #[test]
+    fn mul_extremes_match_biguint() {
+        // Largest operands stress the no-carry CIOS bound.
+        let p = Fp::modulus();
+        let edges = [
+            Fp::ONE.neg(),
+            Fp::from_u64(2).neg(),
+            Fp::from_biguint(&(p >> 1)),
+            Fp::ONE,
+            Fp::ZERO,
+        ];
+        for a in &edges {
+            for b in &edges {
+                let expect = (&a.to_biguint() * &b.to_biguint()).rem(p);
+                assert_eq!(a.mul(b).to_biguint(), expect);
+            }
         }
     }
 

@@ -67,16 +67,12 @@ impl Fp2 {
         self.add(self)
     }
 
-    /// Multiplication (Karatsuba over the base field; u² = −1).
+    /// Multiplication (Karatsuba over the base field with lazy
+    /// reduction; u² = −1).
+    #[inline]
     pub fn mul(&self, rhs: &Fp2) -> Fp2 {
-        let aa = self.c0.mul(&rhs.c0);
-        let bb = self.c1.mul(&rhs.c1);
-        let sum_a = self.c0.add(&self.c1);
-        let sum_b = rhs.c0.add(&rhs.c1);
-        Fp2 {
-            c0: aa.sub(&bb),
-            c1: sum_a.mul(&sum_b).sub(&aa).sub(&bb),
-        }
+        let (c0, c1) = super::fp::mul_complex(&self.c0, &self.c1, &rhs.c0, &rhs.c1);
+        Fp2 { c0, c1 }
     }
 
     /// Squaring (complex method).
@@ -170,6 +166,24 @@ mod tests {
     fn u_squared_is_minus_one() {
         let u = Fp2::new(Fp::ZERO, Fp::ONE);
         assert_eq!(u.square(), Fp2::from_fp(Fp::ONE.neg()));
+    }
+
+    #[test]
+    fn mul_matches_schoolbook() {
+        let mut r = rng();
+        let top = Fp::ONE.neg();
+        let mut cases: Vec<(Fp2, Fp2)> =
+            (0..50).map(|_| (Fp2::random(&mut r), Fp2::random(&mut r))).collect();
+        // Largest coefficients and a real part that goes negative
+        // before the lazy reduction.
+        cases.push((Fp2::new(top, top), Fp2::new(top, top)));
+        cases.push((Fp2::new(Fp::ZERO, top), Fp2::new(Fp::ZERO, top)));
+        cases.push((Fp2::new(Fp::ONE, top), Fp2::new(Fp::ONE, top)));
+        for (a, b) in cases {
+            let c0 = a.c0.mul(&b.c0).sub(&a.c1.mul(&b.c1));
+            let c1 = a.c0.mul(&b.c1).add(&a.c1.mul(&b.c0));
+            assert_eq!(a.mul(&b), Fp2::new(c0, c1));
+        }
     }
 
     #[test]

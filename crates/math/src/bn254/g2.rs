@@ -62,10 +62,9 @@ impl G2 {
     pub fn frobenius(&self) -> G2 {
         match self.to_affine() {
             None => G2::identity(),
-            Some((x, y)) => {
-                let xf = x.conjugate().mul(&frobenius_gamma_x());
-                let yf = y.conjugate().mul(&frobenius_gamma_y());
-                G2::from_affine(xf, yf).expect("psi maps the twist to itself")
+            Some(q) => {
+                let (x, y) = psi(&q);
+                G2::from_affine(x, y).expect("psi maps the twist to itself")
             }
         }
     }
@@ -117,6 +116,12 @@ impl G2 {
     }
 }
 
+/// ψ on affine coordinates (see [`G2::frobenius`]); the Miller loop
+/// applies it to its affine Q directly.
+pub(crate) fn psi(q: &(Fp2, Fp2)) -> (Fp2, Fp2) {
+    (q.0.conjugate().mul(&frobenius_gamma_x()), q.1.conjugate().mul(&frobenius_gamma_y()))
+}
+
 /// Square root in F_p² via the complex method (p ≡ 3 mod 4).
 ///
 /// For `a = a0 + a1·u`, uses the norm: `|a| = a0² + a1²`, then
@@ -135,7 +140,7 @@ fn sqrt_fp2(a: &Fp2) -> Option<Fp2> {
     }
     let norm = a.c0.square().add(&a.c1.square());
     let alpha = norm.sqrt()?;
-    let two_inv = Fp::from_u64(2).invert().expect("2 != 0");
+    let two_inv = Fp::TWO_INV;
     let mut delta = a.c0.add(&alpha).mul(&two_inv);
     if delta.sqrt().is_none() {
         delta = a.c0.sub(&alpha).mul(&two_inv);

@@ -12,8 +12,10 @@
 //!   multi-scalar multiplication via [`DleqProof::verify_batch_mixed`];
 //! - all BN254 pairing checks (BLS04 partial signatures and BZ03
 //!   decryption shares) fold into one pairing product sharing a single
-//!   final exponentiation via [`theta_math::bn254::multi_pairing`],
-//!   with random-linear-combination weights and per-base G1/G2 MSMs.
+//!   multi-Miller loop and final exponentiation via
+//!   [`theta_math::bn254::multi_pairing`], with random-linear-combination
+//!   weights and MSMs on whichever side of each term family has fewer
+//!   distinct points.
 //!
 //! On failure, [`settle_mixed`] isolates every culprit with
 //! [`bisect_invalid`] so one bad share across a mixed multi-instance
@@ -22,12 +24,16 @@
 use crate::common::bisect_invalid;
 use crate::dleq::{DleqInstance, DleqProof};
 use crate::hashing::{hash_to_fr, hash_to_key};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use theta_math::bn254::{multi_pairing, pairing_check, Fr, G1, G2};
 use theta_math::ed25519::Point;
-use theta_math::msm::msm;
+use theta_math::msm::{msm, CurveGroup};
 
 const D_CROSS: &str = "thetacrypt/batch/cross-instance/v1";
+
+/// Compressed encodings: transcript bytes and pairing-group keys.
+type G1Bytes = [u8; 33];
+type G2Bytes = [u8; 65];
 
 /// One share-validity check, detached from its protocol instance.
 ///
@@ -120,15 +126,21 @@ pub fn batch_holds(checks: &[&PendingCheck]) -> bool {
 /// per-check equations combine into
 ///
 /// ```text
-/// e(−Σ r_j σ_j, P2) · Π_h e(H(m), Σ r_j Y_j)          (BLS04, grouped by hash)
-///   · Π_w e(W, Σ r_j Y_j) · Π_h1 e(−H1, Σ r_j δ_j)    (BZ03, grouped by base)
+/// e(−Σ r_j σ_j, P2) · Π e(H_j, r_j Y_j)                  (BLS04)
+///   · Π e(W_j, r_j Y_j) · Π_h1 e(−H1, Σ r_j δ_j)         (BZ03)
 ///   == 1
 /// ```
 ///
-/// so `k` checks across many instances cost a handful of MSMs and one
-/// Miller loop per *distinct base point* — instances decrypting the same
-/// ciphertext or signing the same message share loops — with a single
-/// shared final exponentiation, instead of `2k` full pairings.
+/// Each `e(A_j, r_j B_j)` family is grouped on the side with fewer
+/// distinct points. When the G1 side repeats (one message signed by many
+/// parties) a group is `e(H, Σ r_j Y_j)`, a G2 MSM. When the verification
+/// keys repeat (n parties across many instances) it is
+/// `e(Σ r_j H_j, Y)`, a cheaper G1 MSM, and the Miller loops number the
+/// parties rather than the instances. The `e(−H1, δ)` family is always
+/// keyed by H1, since every share brings its own δ. So `k` checks cost a
+/// handful of MSMs and one Miller loop per group, sharing one
+/// multi-Miller loop and one final exponentiation, instead of `2k` full
+/// pairings.
 fn pairing_subset_holds(bls04: &[(&G1, &G1, &G2)], bz03: &[(&G1, &G2, &G1, &G2)]) -> bool {
     match (bls04.len(), bz03.len()) {
         (0, 0) => return true,
@@ -142,88 +154,130 @@ fn pairing_subset_holds(bls04: &[(&G1, &G1, &G2)], bz03: &[(&G1, &G2, &G1, &G2)]
         }
         _ => {}
     }
+    // Compressed points: the transcript, and the group keys.
+    let bls04_enc: Vec<(G1Bytes, G1Bytes, G2Bytes)> = bls04
+        .iter()
+        .map(|(h, sigma, vk)| (h.to_compressed(), sigma.to_compressed(), vk.to_compressed()))
+        .collect();
+    let bz03_enc: Vec<(G1Bytes, G2Bytes, G1Bytes, G2Bytes)> = bz03
+        .iter()
+        .map(|(w, vk, h1, delta)| {
+            (w.to_compressed(), vk.to_compressed(), h1.to_compressed(), delta.to_compressed())
+        })
+        .collect();
+
     // Weight seed over the full transcript of both subsets.
     let mut transcript: Vec<Vec<u8>> = Vec::with_capacity(bls04.len() + bz03.len());
-    for (h, sigma, vk) in bls04 {
-        let mut item = Vec::with_capacity(1 + 33 + 33 + 65);
-        item.push(0x01);
-        item.extend_from_slice(&h.to_compressed());
-        item.extend_from_slice(&sigma.to_compressed());
-        item.extend_from_slice(&vk.to_compressed());
-        transcript.push(item);
+    for (h, sigma, vk) in &bls04_enc {
+        transcript.push([&[0x01][..], h, sigma, vk].concat());
     }
-    for (w, vk, h1, delta) in bz03 {
-        let mut item = Vec::with_capacity(1 + 33 + 65 + 33 + 65);
-        item.push(0x02);
-        item.extend_from_slice(&w.to_compressed());
-        item.extend_from_slice(&vk.to_compressed());
-        item.extend_from_slice(&h1.to_compressed());
-        item.extend_from_slice(&delta.to_compressed());
-        transcript.push(item);
+    for (w, vk, h1, delta) in &bz03_enc {
+        transcript.push([&[0x02][..], w, vk, h1, delta].concat());
     }
     let items: Vec<&[u8]> = transcript.iter().map(|t| t.as_slice()).collect();
     let seed = hash_to_key(D_CROSS, &items);
     let weight = |idx: u64| hash_to_fr(D_CROSS, &[&seed, &idx.to_le_bytes()]);
 
-    // Accumulators for G1-side groups keyed by the compressed base point:
-    // each distinct base costs exactly one Miller loop.
-    struct G2Group {
-        base: G1,
-        points: Vec<G2>,
-        weights: Vec<Fr>,
-    }
-    let mut groups: Vec<G2Group> = Vec::new();
-    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-    let push = |groups: &mut Vec<G2Group>,
-                    index: &mut HashMap<Vec<u8>, usize>,
-                    base: &G1,
-                    point: &G2,
-                    w: Fr| {
-        let key = base.to_compressed().to_vec();
-        let gi = *index.entry(key).or_insert_with(|| {
-            groups.push(G2Group { base: *base, points: Vec::new(), weights: Vec::new() });
-            groups.len() - 1
-        });
-        groups[gi].points.push(*point);
-        groups[gi].weights.push(w);
-    };
-
+    const BLS04_TERMS: u8 = 1;
+    const BZ03_W_TERMS: u8 = 2;
+    const BZ03_H1_TERMS: u8 = 3;
+    let mut by_g1: Grouped<G1, G2> = Grouped::default();
+    let mut by_g2: Grouped<G2, G1> = Grouped::default();
     let mut idx = 0u64;
-    // BLS04: e(σ_j, P2) == e(H_j, Y_j) → lhs weighted σ sum vs grouped vk sums.
+
+    // BLS04: e(σ_j, P2) == e(H_j, Y_j) → one weighted σ sum against P2,
+    // and the e(H_j, Y_j) terms grouped on their smaller side.
     let mut sigmas: Vec<G1> = Vec::with_capacity(bls04.len());
     let mut sigma_weights: Vec<Fr> = Vec::with_capacity(bls04.len());
-    for (h, sigma, vk) in bls04 {
+    let bls04_by_vk = group_by_g2(bls04_enc.iter().map(|e| (&e.0[..], &e.2[..])));
+    for ((h, sigma, vk), enc) in bls04.iter().zip(&bls04_enc) {
         let r = weight(idx);
         idx += 1;
         sigmas.push(**sigma);
         sigma_weights.push(r.clone());
-        push(&mut groups, &mut index, h, vk, r);
+        if bls04_by_vk {
+            by_g2.push(BLS04_TERMS, &enc.2, **vk, **h, r);
+        } else {
+            by_g1.push(BLS04_TERMS, &enc.0, **h, **vk, r);
+        }
     }
-    // BZ03: e(W_j, Y_j) == e(H1_j, δ_j) → both sides grouped by their G1 base,
-    // with the right-hand base negated to move everything to one product.
-    for (w, vk, h1, delta) in bz03 {
+    // BZ03: e(W_j, Y_j) == e(H1_j, δ_j) → the W terms grouped on their
+    // smaller side, the right-hand side negated and keyed by H1.
+    let bz03_by_vk = group_by_g2(bz03_enc.iter().map(|e| (&e.0[..], &e.1[..])));
+    for ((w, vk, h1, delta), enc) in bz03.iter().zip(&bz03_enc) {
         let r = weight(idx);
         idx += 1;
-        push(&mut groups, &mut index, w, vk, r.clone());
-        push(&mut groups, &mut index, &h1.neg(), delta, r);
+        if bz03_by_vk {
+            by_g2.push(BZ03_W_TERMS, &enc.1, **vk, **w, r.clone());
+        } else {
+            by_g1.push(BZ03_W_TERMS, &enc.0, **w, **vk, r.clone());
+        }
+        by_g1.push(BZ03_H1_TERMS, &enc.2, h1.neg(), **delta, r);
     }
 
-    let mut pair_bases: Vec<G1> = Vec::with_capacity(groups.len() + 1);
-    let mut pair_points: Vec<G2> = Vec::with_capacity(groups.len() + 1);
+    let mut pair_g1: Vec<G1> = Vec::with_capacity(by_g1.groups.len() + by_g2.groups.len() + 1);
+    let mut pair_g2: Vec<G2> = Vec::with_capacity(pair_g1.capacity());
     if !sigmas.is_empty() {
-        let coeffs: Vec<&theta_math::BigUint> =
-            sigma_weights.iter().map(|w| w.to_biguint()).collect();
-        pair_bases.push(msm(&sigmas, &coeffs).neg());
-        pair_points.push(G2::generator());
+        pair_g1.push(weighted_sum(&sigmas, &sigma_weights).neg());
+        pair_g2.push(G2::generator());
     }
-    for group in &groups {
-        let coeffs: Vec<&theta_math::BigUint> =
-            group.weights.iter().map(|w| w.to_biguint()).collect();
-        pair_bases.push(group.base);
-        pair_points.push(msm(&group.points, &coeffs));
+    for (base, points, weights) in &by_g1.groups {
+        pair_g1.push(*base);
+        pair_g2.push(weighted_sum(points, weights));
     }
-    let pairs: Vec<(&G1, &G2)> = pair_bases.iter().zip(pair_points.iter()).collect();
+    for (base, points, weights) in &by_g2.groups {
+        pair_g1.push(weighted_sum(points, weights));
+        pair_g2.push(*base);
+    }
+    let pairs: Vec<(&G1, &G2)> = pair_g1.iter().zip(pair_g2.iter()).collect();
     multi_pairing(&pairs).is_one()
+}
+
+/// True when a family of `e(A_j, B_j)` terms, given as compressed
+/// `(A_j, B_j)`, has no more distinct G2 points than G1 points. A tie
+/// also keys the groups by the G2 point: both groupings then run as many
+/// Miller loops, and this one does its MSMs in the cheaper G1.
+fn group_by_g2<'a>(terms: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> bool {
+    let mut g1: HashSet<&[u8]> = HashSet::new();
+    let mut g2: HashSet<&[u8]> = HashSet::new();
+    for (a, b) in terms {
+        g1.insert(a);
+        g2.insert(b);
+    }
+    g2.len() <= g1.len()
+}
+
+/// `Σ r_j·P_j` as one MSM.
+fn weighted_sum<P: CurveGroup>(points: &[P], weights: &[Fr]) -> P {
+    let coeffs: Vec<&theta_math::BigUint> = weights.iter().map(|w| w.to_biguint()).collect();
+    msm(points, &coeffs)
+}
+
+/// Weighted pairing terms `e(base, r_j·point_j)` grouped by base: each
+/// group becomes one pair `(base, Σ r_j·point_j)`, so every distinct base
+/// costs one Miller loop and its other side one MSM. Keys carry a
+/// term-family tag, so a base is only shared within its family.
+struct Grouped<B, P> {
+    index: HashMap<Vec<u8>, usize>,
+    groups: Vec<(B, Vec<P>, Vec<Fr>)>,
+}
+
+impl<B, P> Default for Grouped<B, P> {
+    fn default() -> Self {
+        Grouped { index: HashMap::new(), groups: Vec::new() }
+    }
+}
+
+impl<B, P> Grouped<B, P> {
+    fn push(&mut self, family: u8, key: &[u8], base: B, point: P, weight: Fr) {
+        let groups = &mut self.groups;
+        let gi = *self.index.entry([&[family][..], key].concat()).or_insert_with(|| {
+            groups.push((base, Vec::new(), Vec::new()));
+            groups.len() - 1
+        });
+        groups[gi].1.push(point);
+        groups[gi].2.push(weight);
+    }
 }
 
 /// Settles a mixed cross-instance batch: returns one verdict per check.
@@ -372,6 +426,73 @@ mod tests {
         let checks = vec![PendingCheck::Invalid; 3];
         let refs: Vec<&PendingCheck> = checks.iter().collect();
         assert!(settle_mixed(&refs).iter().all(|&v| !v));
+    }
+
+    /// 8 BLS04 instances × 4 parties: the keys are the smaller side.
+    fn bls04_instances(r: &mut rand::rngs::StdRng) -> Vec<PendingCheck> {
+        let params = ThresholdParams::new(3, 8).unwrap();
+        let (pk, keys) = bls04::keygen(params, r);
+        let mut checks = Vec::new();
+        for i in 0..8 {
+            let msg = format!("block {i}").into_bytes();
+            let h = bls04::hash_message(&msg).unwrap();
+            for k in &keys[..4] {
+                let share = bls04::sign_share(k, &msg).unwrap();
+                checks.push(bls04::pending_check_with_hash(&pk, &h, &share));
+            }
+        }
+        checks
+    }
+
+    #[test]
+    fn grouping_follows_the_side_with_fewer_points() {
+        let key = |b: u8| [b; 3];
+        let terms = |pairs: &[(u8, u8)]| {
+            pairs.iter().map(|&(a, b)| (key(a), key(b))).collect::<Vec<_>>()
+        };
+        let side = |t: &[([u8; 3], [u8; 3])]| {
+            group_by_g2(t.iter().map(|(a, b)| (&a[..], &b[..])))
+        };
+        // One message, four keys: group by the message hash (G1).
+        assert!(!side(&terms(&[(0, 1), (0, 2), (0, 3), (0, 4)])));
+        // Three messages, two keys: group by the key (G2).
+        assert!(side(&terms(&[(0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)])));
+        // A tie groups by the key, whose MSMs run in G1.
+        assert!(side(&terms(&[(0, 1), (1, 2)])));
+
+        let mut r = rng();
+        let checks = bls04_instances(&mut r);
+        let enc: Vec<([u8; 33], [u8; 65])> = checks
+            .iter()
+            .map(|c| match c {
+                PendingCheck::Bls04 { h, vk, .. } => (h.to_compressed(), vk.to_compressed()),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert!(group_by_g2(enc.iter().map(|(h, vk)| (&h[..], &vk[..]))));
+    }
+
+    /// One forged share among 8 instances × 4 parties is isolated while
+    /// the product is grouped by verification key, and no honest check is
+    /// rejected.
+    #[test]
+    fn forged_share_isolated_under_key_grouping() {
+        let mut r = rng();
+        let mut checks = bls04_instances(&mut r);
+        let refs: Vec<&PendingCheck> = checks.iter().collect();
+        assert!(batch_holds(&refs));
+        let bad = 13;
+        // Block 3, second party: σ replaced by a point that is not its
+        // signature share.
+        if let PendingCheck::Bls04 { sigma, .. } = &mut checks[bad] {
+            *sigma = bls04::hash_message(b"forged").unwrap().mul(&Fr::from_u64(7));
+        }
+        let refs: Vec<&PendingCheck> = checks.iter().collect();
+        assert!(!batch_holds(&refs));
+        let verdicts = settle_mixed(&refs);
+        for (i, ok) in verdicts.iter().enumerate() {
+            assert_eq!(*ok, i != bad, "check {i}");
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 # Quick smoke run of the scalar-multiplication kernel benchmarks.
 #
 # Runs the Criterion `kernels` bench with a shrunken measurement budget
-# (CRITERION_QUICK=1) and then the `bench_kernels` binary, which writes
-# the old-vs-new speedup table to BENCH_kernels.json at the repo root.
+# (CRITERION_QUICK=1) and then the `bench_kernels` binary, which prints
+# the old-vs-new speedup table (a quick run leaves the committed full-run
+# BENCH_kernels.json alone; run it without CRITERION_QUICK to refresh it).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -14,12 +15,8 @@ echo "== criterion kernels bench (quick mode) =="
 cargo bench -p theta-bench --bench kernels
 
 echo
-echo "== kernel speedup table -> BENCH_kernels.json =="
+echo "== kernel speedup table (quick, printed only) =="
 cargo run --release -p theta-bench --bin bench_kernels -- --quick
-
-echo
-echo "BENCH_kernels.json:"
-cat BENCH_kernels.json
 
 echo
 echo "== observability instrumentation overhead -> BENCH_observability.json =="

@@ -36,6 +36,10 @@ echo "== cross-instance batch verify smoke (release, >=1.5x gate) =="
 cargo run -q --release -p theta-bench --bin bench_cross_batch -- --quick
 
 echo
+echo "== pairing kernel gate (release, shared projective multi-Miller loop >=2x the affine reference on 4 pairs) =="
+cargo run -q --release -p theta-bench --bin bench_kernels -- --quick
+
+echo
 echo "== worker-pool scaling smoke (release; asserts 2-worker >= 1.5x when host_cores >= 2, records skip otherwise) =="
 cargo run -q --release -p theta-bench --bin bench_parallel -- --quick
 

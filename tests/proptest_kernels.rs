@@ -1,18 +1,31 @@
-//! Property-based tests for the scalar-multiplication kernels: the MSM
-//! agrees with the naive `Σ sᵢ·Pᵢ` loop on every group, batched share
-//! verification accepts exactly when every share verifies individually
-//! (with bisection naming the first culprit), and the optimised combine
-//! paths produce the same results as the serial baselines they
-//! replaced.
+//! Property-based tests for the scalar-multiplication and pairing
+//! kernels: the MSM agrees with the naive `Σ sᵢ·Pᵢ` loop on every group,
+//! the shared projective multi-Miller loop agrees with the affine
+//! reference loop, batched share verification accepts exactly when every
+//! share verifies individually (with bisection naming the first culprit)
+//! under either grouping of the cross-instance pairing product, and the
+//! optimised combine paths produce the same results as the serial
+//! baselines they replaced.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use thetacrypt::math::msm::msm;
 use thetacrypt::math::BigUint;
+use thetacrypt::schemes::batch::{self, PendingCheck};
 use thetacrypt::schemes::ThresholdParams;
 
 fn rng_from(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
+}
+
+/// Settles `checks` as one cross-instance batch: the combined equation
+/// must accept exactly when every check holds alone, and the bisection
+/// must reproduce every individual verdict.
+fn cross_instance_matches_individual(checks: &[PendingCheck]) {
+    let refs: Vec<&PendingCheck> = checks.iter().collect();
+    let alone: Vec<bool> = checks.iter().map(PendingCheck::holds).collect();
+    assert_eq!(batch::batch_holds(&refs), alone.iter().all(|&v| v));
+    assert_eq!(batch::settle_mixed(&refs), alone);
 }
 
 proptest! {
@@ -103,6 +116,74 @@ proptest! {
                 other => prop_assert!(false, "expected InvalidShare, got {:?}", other),
             }
         }
+
+        // The same shares as cross-instance checks. One instance: one hash
+        // against five keys, so the product groups by hash.
+        let h = bls04::hash_message(&msg).unwrap();
+        let one: Vec<PendingCheck> =
+            shares.iter().map(|s| bls04::pending_check_with_hash(&pk, &h, s)).collect();
+        cross_instance_matches_individual(&one);
+        // Parties 1–3 also sign four more messages: three keys against
+        // five hashes, so the product groups by key.
+        let mut many = one[..3].to_vec();
+        for m in 0u8..4 {
+            let other = [&msg[..], b"/instance", &[m]].concat();
+            let h = bls04::hash_message(&other).unwrap();
+            for k in &keys[..3] {
+                let share = bls04::sign_share(k, &other).unwrap();
+                many.push(bls04::pending_check_with_hash(&pk, &h, &share));
+            }
+        }
+        cross_instance_matches_individual(&many);
+    }
+
+    #[test]
+    fn bz03_batch_accepts_iff_all_valid(
+        seed in any::<u64>(),
+        msg in proptest::collection::vec(any::<u8>(), 0..64),
+        bad in proptest::option::of(0usize..5),
+    ) {
+        use thetacrypt::schemes::{bz03, SchemeError};
+        let mut r = rng_from(seed);
+        let params = ThresholdParams::new(2, 5).unwrap();
+        let (pk, keys) = bz03::keygen(params, &mut r);
+        let ct = bz03::encrypt(&pk, b"label", &msg, &mut r);
+        let other_ct = bz03::encrypt(&pk, b"label", &msg, &mut r);
+        let mut shares: Vec<_> =
+            keys.iter().map(|k| bz03::create_decryption_share(k, &ct).unwrap()).collect();
+        if let Some(i) = bad {
+            // A valid share for a *different* ciphertext.
+            shares[i] = bz03::create_decryption_share(&keys[i], &other_ct).unwrap();
+        }
+        let all_valid = shares.iter().all(|s| bz03::verify_decryption_share(&pk, &ct, s));
+        let batch = bz03::verify_decryption_shares_batch(&pk, &ct, &shares);
+        prop_assert_eq!(all_valid, batch.is_ok());
+        if let Some(i) = bad {
+            prop_assert!(!all_valid);
+            match batch {
+                Err(SchemeError::InvalidShare { party }) => {
+                    prop_assert_eq!(party, shares[i].id().value());
+                }
+                other => prop_assert!(false, "expected InvalidShare, got {:?}", other),
+            }
+        }
+
+        // One ciphertext: one W against five keys, so the e(W, Y) terms
+        // group by W.
+        let one: Vec<PendingCheck> =
+            shares.iter().map(|s| bz03::pending_check(&pk, &ct, s)).collect();
+        cross_instance_matches_individual(&one);
+        // Parties 1–3 also decrypt four more ciphertexts: three keys
+        // against five Ws, so the e(W, Y) terms group by key.
+        let mut many = one[..3].to_vec();
+        for m in 0u8..4 {
+            let ct_m = bz03::encrypt(&pk, &[b'i', m], &msg, &mut r);
+            for k in &keys[..3] {
+                let share = bz03::create_decryption_share(k, &ct_m).unwrap();
+                many.push(bz03::pending_check(&pk, &ct_m, &share));
+            }
+        }
+        cross_instance_matches_individual(&many);
     }
 
     #[test]
@@ -167,5 +248,64 @@ proptest! {
         let slow = sg02::combine_serial_baseline(&spk, &ct, &sshares).unwrap();
         prop_assert_eq!(&fast, &msg);
         prop_assert_eq!(fast, slow);
+    }
+}
+
+/// A G1/G2 point pair for the pairing oracle: `kind` 0 and 1 put the
+/// identity on one side, anything else gives random non-identity points.
+fn pairing_pair(
+    r: &mut rand::rngs::StdRng,
+    kind: u8,
+) -> (thetacrypt::math::bn254::G1, thetacrypt::math::bn254::G2) {
+    use thetacrypt::math::bn254::{Fr, G1, G2};
+    let p = G1::mul_generator(&Fr::random(r));
+    let q = G2::mul_generator(&Fr::random(r));
+    match kind {
+        0 => (G1::identity(), q),
+        1 => (p, G2::identity()),
+        _ => (p, q),
+    }
+}
+
+proptest! {
+    // Each case runs up to ten affine reference Miller loops.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn multi_pairing_matches_affine_reference(
+        seed in any::<u64>(),
+        kinds in proptest::collection::vec(0u8..6, 0..6),
+        balanced in any::<bool>(),
+    ) {
+        use thetacrypt::math::bn254::{
+            miller_loop_affine, multi_pairing, pairing_check, Fp12, Fr, G1, G2,
+        };
+        let mut r = rng_from(seed);
+        let pairs: Vec<(G1, G2)> = kinds.iter().map(|&k| pairing_pair(&mut r, k)).collect();
+        let refs: Vec<(&G1, &G2)> = pairs.iter().map(|(p, q)| (p, q)).collect();
+        let reference = |pairs: &[(&G1, &G2)]| {
+            let mut f = Fp12::ONE;
+            for (p, q) in pairs {
+                f = f.mul(&miller_loop_affine(p, q));
+            }
+            f.final_exponentiation().unwrap()
+        };
+        prop_assert_eq!(multi_pairing(&refs), reference(&refs));
+
+        // pairing_check verdicts: e(s·A, B) == e(A, s·B) holds, and
+        // breaks when one side is perturbed (unless a point is the identity).
+        let (a1, a2) = pairing_pair(&mut r, kinds.first().copied().unwrap_or(5));
+        let s = Fr::random(&mut r);
+        let b1 = if balanced { a1.mul(&s) } else { a1.mul(&s).add(&G1::generator()) };
+        let b2 = a2.mul(&s);
+        let lhs = (&b1, &a2);
+        let neg_a1 = a1.neg();
+        let rhs = (&neg_a1, &b2);
+        // e(b1, a2) == e(a1, b2)  ⟺  e(b1, a2)·e(−a1, b2) == 1
+        let expect = reference(&[lhs, rhs]).is_one();
+        prop_assert_eq!(pairing_check(&b1, &a2, &a1, &b2), expect);
+        if balanced {
+            prop_assert!(expect);
+        }
     }
 }
