@@ -1,5 +1,5 @@
 //! `theta-node` — a standalone Thetacrypt node over real TCP: loads its
-//! key file, joins the full mesh, and serves the RPC endpoints (the
+//! key file, joins the mesh, and serves the RPC endpoints (the
 //! paper's standalone deployment mode).
 //!
 //! ```text
@@ -14,10 +14,11 @@
 //! Every mesh link is authenticated and encrypted: the node's key file
 //! carries its static transport identity, the public key file carries
 //! the roster, and connection setup runs the Noise-IK handshake before
-//! any protocol byte flows. `--mesh-degree D` (with `D > 0`) joins the
-//! gossip/flood overlay with ≈D links per node instead of the `n-1`
-//! links of the full mesh — the mode for fleets too large to fully
-//! connect.
+//! any protocol byte flows. By default (`--mesh-degree 0`) the nodes
+//! form a full mesh of `n-1` links per node. `--mesh-degree D` (with
+//! `D > 0`) instead joins a gossip/flood overlay with ≈D links per node
+//! — the mode for fleets too large to fully connect — unless D already
+//! links every pair, which is the full mesh again.
 //!
 //! `--rpc-peers a1,a2,...` (the RPC address of every node, in roster
 //! order) enables the cluster plane: with it, `CollectTrace` fans out
@@ -39,7 +40,6 @@ use theta_core::keyfile::{self, decode_public_with_roster};
 use theta_core::keymanager::{KeyManager, KeystoreKey, LocalKeyAdmin, SharedKeyManager};
 use theta_network::gossip::GossipMesh;
 use theta_network::handshake::{MeshAuth, Roster, StaticIdentity};
-use theta_network::tcp::TcpMesh;
 use theta_network::Network;
 use theta_orchestration::{spawn_node_observed, spawn_node_with_keys, NodeConfig};
 use theta_service::{
@@ -179,24 +179,19 @@ fn main() {
     drop(seed); // wiped on drop; the derived identity lives on in auth
 
     println!(
-        "node {} joining a {}-node mesh (TOB sequencer: node 1, links: {})...",
+        "node {} joining a {}-node mesh (TOB sequencer: node 1, mesh degree {})...",
         args.id,
         args.peers.len(),
-        if args.mesh_degree == 0 {
-            "full mesh".to_string()
-        } else {
-            format!("gossip, degree {}", args.mesh_degree)
-        }
+        args.mesh_degree
     );
-    let mesh: Box<dyn Network> = if args.mesh_degree == 0 {
-        Box::new(TcpMesh::connect(args.id, &args.peers, auth).expect("mesh setup"))
-    } else {
-        Box::new(
-            GossipMesh::connect(args.id, &args.peers, auth, args.mesh_degree)
-                .expect("mesh setup"),
-        )
-    };
-    println!("mesh connected (all links authenticated + encrypted)");
+    let mesh = GossipMesh::connect(args.id, &args.peers, auth, args.mesh_degree)
+        .expect("mesh setup");
+    println!(
+        "mesh connected (all links authenticated + encrypted): {} links, {}",
+        mesh.degree(),
+        if mesh.is_complete() { "full mesh" } else { "gossip flood" }
+    );
+    let mesh: Box<dyn Network> = Box::new(mesh);
 
     let config = NodeConfig { worker_threads: args.workers, ..NodeConfig::default() };
     let obs = Arc::new(theta_metrics::NodeObservability::new());

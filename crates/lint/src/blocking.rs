@@ -1,7 +1,7 @@
 //! Event-loop blocking lint.
 //!
 //! Roots are functions annotated `// theta: event-loop` — the router's
-//! inbox loop, the poll(2) front-end loop, and the gossip/TCP reader
+//! inbox loop, the poll(2) front-end loop, and the TCP link reader
 //! threads (spawn-closure children inherit the annotation from the
 //! function that spawns them). Everything reachable from a root
 //! through the call graph must not:

@@ -1,43 +1,66 @@
-//! Gossip/flood overlay: O(degree) encrypted links per node instead of
-//! a full mesh.
+//! The TCP transport: mutually authenticated, AEAD-encrypted links,
+//! with one flood frame format carrying P2P traffic and the node-1
+//! sequencer TOB (standing in for the libp2p overlay and TOB proxy of
+//! the original system).
 //!
-//! The TCP full mesh of [`crate::tcp`] needs `n-1` connections per node
-//! — fine for the paper's 4–16 node fleets, wasteful beyond. This
-//! overlay gives each node a bounded set of neighbors on a circulant
-//! graph and **floods** messages: every frame carries a
-//! `(origin, counter)` message id; a node delivers/processes the first
-//! copy it sees and relays it to every neighbor except the link it
-//! arrived on, so a message crosses each link at most once in each
-//! direction and still reaches all nodes in O(diameter) hops.
+//! **Topology.** `mesh_degree` selects one of two graphs:
 //!
-//! **Topology.** Neighbor *offsets* are the powers of two strictly
-//! below `n/2`, truncated to `ceil(mesh_degree / 2)` entries: node `i`
-//! dials `(i-1+o) mod n + 1` for each offset `o` and accepts from the
-//! mirror set, giving a connected circulant graph `C(n; 1, 2, 4, ...)`
-//! of total degree ≈ `mesh_degree` whose diameter shrinks as offsets
-//! are added. The offset-1 ring alone keeps the graph connected, so any
-//! single dropped link leaves flooding intact whenever `mesh_degree`
-//! admits a second offset.
+//! - **Complete** (`mesh_degree == 0`, or any degree whose neighbors
+//!   already reach all `n-1` peers): node `a` dials node `b` iff
+//!   `a < b`, so every pair shares exactly one link. This is the
+//!   paper's standalone full mesh.
+//! - **Sparse** (any other degree): neighbor *offsets* are the powers of
+//!   two strictly below `n/2`, truncated to `ceil(mesh_degree / 2)`
+//!   entries. Node `i` dials `(i-1+o) mod n + 1` for each offset `o` and
+//!   accepts from the mirror set, giving a connected circulant graph
+//!   `C(n; 1, 2, 4, ...)` of total degree ≈ `mesh_degree`. Messages are
+//!   **flooded**: every frame carries an `(origin, counter)` message id,
+//!   and a node delivers the first copy it sees and relays it to every
+//!   neighbor except the link it arrived on. A message thus reaches all
+//!   nodes in O(diameter) hops over O(degree) links per node. The
+//!   offset-1 ring keeps the graph connected, so any single dropped link
+//!   leaves flooding intact whenever `mesh_degree` admits a second
+//!   offset.
 //!
-//! **Link security.** Every link runs the same Noise-IK handshake and
-//! AEAD framing as the full mesh ([`crate::handshake`]): neighbors are
-//! mutually authenticated against the roster and every byte after the
-//! hello is encrypted. The *first hop* of a message is therefore
-//! cryptographically attributed; relayed hops necessarily carry the
-//! origin id inside the (authenticated, encrypted) frame on the word
-//! of the relaying neighbor. A non-member cannot inject or read
-//! anything; a *member* relaying forged origins is outside this PR's
-//! threat model (the full mesh remains the deployment answer when
-//! insider attribution is required, and is noted in DESIGN.md).
+//! The constructor derives which graph it built; no option selects it.
+//! On the complete graph three things change: nothing is relayed,
+//! addressed frames (`send_to`, a TOB submit) travel only on the
+//! addressee's link, and a frame whose origin is not its link's
+//! authenticated peer is dropped.
 //!
-//! TOB rides the same flood: submits are flooded until they reach the
-//! sequencer (node 1), which assigns sequence numbers and floods the
-//! deliveries; each node's [`TobReorderBuffer`] releases them gap-free
-//! in order, so all nodes observe the identical TOB sequence.
+//! **Link security.** Every link runs the Noise-IK handshake and AEAD
+//! framing of [`crate::handshake`]: the dialer's first bytes carry its
+//! node id, an ephemeral key and an authentication tag, the accepter
+//! answers, and both sides derive per-direction ChaCha20-Poly1305
+//! session keys. Every later frame is a `u32`-length-prefixed AEAD
+//! ciphertext, and one that fails authentication tears the link down.
+//! Handshake reads time out after `HANDSHAKE_TIMEOUT`, so a mute dialer
+//! cannot stall setup, and a second connection claiming an
+//! already-connected peer id is rejected. Right after each handshake the
+//! dialer runs [`handshake::offset_probe_initiate`], so both ends hold a
+//! wall-clock offset estimate (`theta_clock_offset_micros{peer=...}`)
+//! for the cluster-trace merge.
+//!
+//! **Sender attribution.** On the complete graph every frame's origin is
+//! the peer the handshake proved, so no member can speak for another: not
+//! in P2P traffic, not in a TOB submit, and not as the sequencer. On a
+//! sparse graph only the *first hop* is attributed; relayed frames carry
+//! the origin id on the word of the relaying neighbor, and a member
+//! forging origins there is outside the threat model (DESIGN.md §5). On
+//! both graphs a TOB delivery counts only if its origin is the sequencer.
+//!
+//! TOB: submits travel to the sequencer (node 1), which assigns sequence
+//! numbers and sends the deliveries to all its links; each node's
+//! [`TobReorderBuffer`] releases them gap-free in order, so all nodes
+//! observe the identical TOB sequence.
+//!
+//! Link health: write failures count into `theta_tcp_send_errors_total`,
+//! and a reader thread ending (EOF, I/O error, tampered frame) into
+//! `theta_tcp_reader_exits_total` (AEAD failures also into
+//! `theta_net_aead_failures_total`), so a dead link shows in the metrics.
 
 use crate::demux::{peek_key, span_hex, span_of, SPAN_LEN};
 use crate::handshake::{self, MeshAuth, RecvCipher, SendCipher, Session};
-use crate::tcp::{dial_with_retry, LinkHealth, HANDSHAKE_TIMEOUT, SEQUENCER};
 use crate::{
     EventOutlet, EventSink, Network, NetworkError, NetworkEvent, NodeId, PeerTraffic,
     TobReorderBuffer,
@@ -50,6 +73,13 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use theta_metrics::{TraceEventKind, TraceJournal};
 use theta_sync::channel::{unbounded, Receiver, Sender};
+
+/// The fixed TOB sequencer node.
+const SEQUENCER: NodeId = 1;
+
+/// Read timeout applied while a connection is mid-handshake, so a
+/// dialer that connects and never speaks cannot stall mesh setup.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Inner message kinds carried by a flood frame.
 const KIND_P2P_BCAST: u8 = 0;
@@ -97,6 +127,55 @@ pub fn flood_offsets(n: usize, mesh_degree: usize) -> Vec<usize> {
     offsets
 }
 
+/// The peers node `id` dials and the peers it accepts. Degree 0, or a
+/// degree whose circulant neighbors already reach every other node,
+/// yields the complete graph with one link per pair (the lower id
+/// dials); any other degree the circulant graph of [`flood_offsets`].
+fn plan_links(n: usize, id: NodeId, mesh_degree: usize) -> (Vec<NodeId>, HashSet<NodeId>) {
+    let offsets = flood_offsets(n, mesh_degree);
+    let out: Vec<NodeId> =
+        offsets.iter().map(|o| ((id as usize - 1 + o) % n + 1) as NodeId).collect();
+    let inbound: HashSet<NodeId> =
+        offsets.iter().map(|o| ((id as usize - 1 + n - o) % n + 1) as NodeId).collect();
+    let reach: HashSet<&NodeId> = out.iter().chain(&inbound).collect();
+    if mesh_degree == 0 || reach.len() + 1 >= n {
+        return ((id + 1..=n as NodeId).collect(), (1..id).collect());
+    }
+    (out, inbound)
+}
+
+fn dial_with_retry(addr: SocketAddr) -> Result<TcpStream, NetworkError> {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(s) => {
+                // Flood frames and clock probes are small and
+                // latency-sensitive; Nagle would hold them for the
+                // previous frame's ACK.
+                s.set_nodelay(true).ok();
+                return Ok(s);
+            }
+            Err(e) => {
+                if std::time::Instant::now() >= deadline {
+                    return Err(NetworkError::Setup(format!("dial {addr}: {e}")));
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    }
+}
+
+/// Link-health tallies accumulated before (and after) a registry is
+/// attached; the pre-attach values are transferred into the registry
+/// counters at attach time, mirroring `connects_established`.
+#[derive(Default)]
+struct LinkHealth {
+    send_errors: AtomicU64,
+    reader_exits: AtomicU64,
+    aead_failures: AtomicU64,
+    handshakes: AtomicU64,
+}
+
 struct LinkConn {
     stream: TcpStream,
     cipher: SendCipher,
@@ -121,6 +200,9 @@ struct GossipMetrics {
 struct GossipShared {
     links: Vec<Link>,
     id: NodeId,
+    /// Whether `links` reach every other node directly (see the module
+    /// docs for what this changes).
+    complete: bool,
     /// Message-id counter for frames this node originates.
     msg_counter: AtomicU64,
     /// Sequencer state (used only on node 1's demux thread).
@@ -166,6 +248,16 @@ impl GossipShared {
             if idx != except {
                 self.send_on_link(idx, body);
             }
+        }
+    }
+
+    /// Sends a frame addressed to `peer`: on the complete graph only its
+    /// link carries it; a sparse graph floods it for relays to carry on.
+    fn send_addressed(&self, peer: NodeId, body: &[u8]) {
+        if !self.complete {
+            self.flood(body, LOCAL);
+        } else if let Some(idx) = self.links.iter().position(|l| l.peer == peer) {
+            self.send_on_link(idx, body);
         }
     }
 
@@ -220,9 +312,8 @@ impl GossipShared {
     }
 }
 
-/// A node of the gossip overlay. Implements [`Network`] with the same
-/// semantics as the full mesh — P2P broadcast/direct plus TOB — over
-/// O(degree) connections.
+/// A node of the TCP transport. Implements [`Network`] (P2P broadcast
+/// and direct sends plus TOB) over its links.
 pub struct GossipMeshNode {
     shared: Arc<GossipShared>,
     n: usize,
@@ -230,13 +321,16 @@ pub struct GossipMeshNode {
     raw_tx: Sender<(usize, Vec<u8>)>,
 }
 
-/// Builder for the gossip overlay.
+/// Builder for the TCP transport.
 pub struct GossipMesh;
 
 impl GossipMesh {
-    /// Connects node `id` into an `n`-node gossip overlay of total
-    /// degree ≈ `mesh_degree` (see [`flood_offsets`]), binding the
-    /// listener at `addrs[id-1]`.
+    /// Connects node `id` (1-based) into the mesh described by `addrs`
+    /// (address `i` belongs to node `i + 1`), binding the listener at
+    /// `addrs[id-1]`. `mesh_degree` 0 builds the complete graph; any
+    /// other degree a circulant graph of total degree ≈ `mesh_degree`
+    /// (see [`flood_offsets`]), or the complete graph where that one
+    /// already reaches every peer.
     ///
     /// # Errors
     ///
@@ -258,7 +352,7 @@ impl GossipMesh {
     /// Like [`GossipMesh::connect`], but with a pre-bound listener
     /// (the OS-assigned-port pattern; `addrs[id-1]` is ignored).
     ///
-    /// Dialing and accepting run concurrently — the overlay graph has
+    /// Dialing and accepting run concurrently — a circulant graph has
     /// cycles, so a node must be able to accept its in-neighbors while
     /// its own dials are still in flight.
     ///
@@ -284,18 +378,10 @@ impl GossipMesh {
             )));
         }
         let auth = Arc::new(auth);
-        let offsets = flood_offsets(n, mesh_degree);
-        let out_peers: Vec<NodeId> = offsets
-            .iter()
-            .map(|o| ((id as usize - 1 + o) % n + 1) as NodeId)
-            .collect();
-        let in_peers: HashSet<NodeId> = offsets
-            .iter()
-            .map(|o| ((id as usize - 1 + n - o) % n + 1) as NodeId)
-            .collect();
+        let (out_peers, in_peers) = plan_links(n, id, mesh_degree);
 
         // Dial out-neighbors on a separate thread while accepting
-        // in-neighbors here: the ring has cycles, so doing these
+        // in-neighbors here: a ring has cycles, so doing these
         // sequentially would deadlock the whole overlay.
         let dialer = {
             let addrs = addrs.to_vec();
@@ -305,10 +391,6 @@ impl GossipMesh {
                     let mut out = Vec::new();
                     for peer in out_peers {
                         let mut stream = dial_with_retry(addrs[peer as usize - 1])?;
-                        // Flood frames and clock probes are small and
-                        // latency-sensitive; Nagle would hold them for
-                        // the previous frame's ACK.
-                        stream.set_nodelay(true).ok();
                         stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
                         let responder_static = auth.roster.get(peer).ok_or_else(|| {
                             NetworkError::Setup(format!("no roster entry for {peer}"))
@@ -364,9 +446,14 @@ impl GossipMesh {
             offsets[peer as usize - 1] = offset;
         }
         let connects = links.len() as u64;
+        // A sparse plan reaches fewer than n-1 peers (`plan_links` turns
+        // any plan reaching all of them into the complete graph), so the
+        // link count tells the two graphs apart.
+        let complete = links.len() + 1 == n;
         let shared = Arc::new(GossipShared {
             links,
             id,
+            complete,
             msg_counter: AtomicU64::new(0),
             tob_seq: AtomicU64::new(0),
             connects_established: AtomicU64::new(connects),
@@ -397,6 +484,12 @@ impl GossipMeshNode {
         self.shared.links.len()
     }
 
+    /// Whether this node links directly to every other node (the
+    /// complete graph: no relaying, origins checked against links).
+    pub fn is_complete(&self) -> bool {
+        self.shared.complete
+    }
+
     /// The distinct neighbor ids this node is linked to.
     pub fn neighbors(&self) -> Vec<NodeId> {
         let mut peers: Vec<NodeId> = self.shared.links.iter().map(|l| l.peer).collect();
@@ -409,11 +502,7 @@ impl GossipMeshNode {
     /// readers see the shutdown). The overlay keeps routing around the
     /// lost edge as long as the remaining graph is connected.
     pub fn drop_link(&self, peer: NodeId) {
-        for link in &self.shared.links {
-            if link.peer == peer {
-                let _ = link.conn.lock().stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
+        self.link_controller().drop_link(peer);
     }
 
     /// A detached failure-injection handle, usable after the node itself
@@ -506,9 +595,9 @@ fn inner_payload(kind: u8, rest: &[u8]) -> Option<&[u8]> {
     }
 }
 
-/// Reads AEAD frames off one link and feeds them (tagged with the link
-/// index, for relay exclusion) into the demux. Same teardown rules as
-/// the full mesh: AEAD failure kills the link, every exit is counted.
+/// Reads AEAD frames off one link and feeds them into the demux, tagged
+/// with the link index (for relay exclusion and the origin check). An
+/// AEAD failure kills the link, and every exit is counted.
 // theta: event-loop
 fn spawn_link_reader(
     mut stream: TcpStream,
@@ -544,10 +633,11 @@ fn spawn_link_reader(
         .expect("spawn gossip reader");
 }
 
-/// The flood engine: dedups by message id (remembering the best hop
-/// count seen per message), relays fresh frames — and shorter-path
-/// duplicates — to every other link, and demultiplexes P2P/TOB into the
-/// ordered event sink. Single-threaded by construction, so the dedup
+/// The flood engine: drops frames from origins their link may not
+/// speak for, dedups by message id (remembering the best hop count seen
+/// per message), relays fresh frames — and shorter-path duplicates — to
+/// every other link on a sparse graph, and demultiplexes P2P/TOB into
+/// the ordered event sink. Single-threaded by construction, so the dedup
 /// window, the reorder buffer and (on node 1) the sequencer state need
 /// no further locking.
 // theta: event-loop
@@ -572,8 +662,21 @@ fn spawn_flood_demux(
                 };
                 let from_local = link_idx == LOCAL;
                 if !from_local {
+                    let link_peer = shared.links[link_idx].peer;
                     if msg.origin == shared.id {
                         continue; // echo of our own flood
+                    }
+                    // Only the sequencer originates deliveries: one from
+                    // any other origin would take a sequence slot and
+                    // split the total order.
+                    if msg.kind == KIND_TOB_DELIVER && msg.origin != SEQUENCER {
+                        continue;
+                    }
+                    // Nothing is relayed on the complete graph, so an
+                    // origin other than the link's authenticated peer is
+                    // forged.
+                    if shared.complete && msg.origin != link_peer {
+                        continue;
                     }
                     let dedup_key = (msg.origin, msg.counter);
                     let best = seen.get(&dedup_key).copied();
@@ -597,7 +700,7 @@ fn spawn_flood_demux(
                                 shared.trace_recv(msg.origin, &msg.span, msg.hop, inner);
                             }
                         }
-                        if msg.hop < best {
+                        if msg.hop < best && !shared.complete {
                             seen.insert(dedup_key, msg.hop);
                             body[HOP_OFF] = msg.hop.saturating_add(1);
                             shared.flood(&body, link_idx);
@@ -616,31 +719,34 @@ fn spawn_flood_demux(
                             seen.remove(&old);
                         }
                     }
-                    // First sight: increment the hop count (the copies
-                    // we forward have crossed one more link) and relay
-                    // to everyone except the arrival link *before*
-                    // local processing, to keep the flood front moving.
-                    body[HOP_OFF] = msg.hop.saturating_add(1);
-                    shared.flood(&body, link_idx);
-                    body[HOP_OFF] = msg.hop;
-                    if let Some(m) = shared.metrics.get() {
-                        m.relayed.inc();
-                    }
-                    if let Some(j) = shared.journal.get() {
-                        if let Some(key) =
-                            inner_payload(msg.kind, &body[HEADER_LEN..]).and_then(peek_key)
-                        {
-                            j.record_full(
-                                key,
-                                TraceEventKind::RelayHop,
-                                shared.links[link_idx].peer,
-                                format!(
-                                    "origin={} span={} hop={}",
-                                    msg.origin,
-                                    span_hex(&msg.span),
-                                    msg.hop.saturating_add(1)
-                                ),
-                            );
+                    // First sight on a sparse graph: increment the hop
+                    // count (the copies we forward have crossed one more
+                    // link) and relay to everyone except the arrival link
+                    // *before* local processing, to keep the flood front
+                    // moving.
+                    if !shared.complete {
+                        body[HOP_OFF] = msg.hop.saturating_add(1);
+                        shared.flood(&body, link_idx);
+                        body[HOP_OFF] = msg.hop;
+                        if let Some(m) = shared.metrics.get() {
+                            m.relayed.inc();
+                        }
+                        if let Some(j) = shared.journal.get() {
+                            if let Some(key) =
+                                inner_payload(msg.kind, &body[HEADER_LEN..]).and_then(peek_key)
+                            {
+                                j.record_full(
+                                    key,
+                                    TraceEventKind::RelayHop,
+                                    link_peer,
+                                    format!(
+                                        "origin={} span={} hop={}",
+                                        msg.origin,
+                                        span_hex(&msg.span),
+                                        msg.hop.saturating_add(1)
+                                    ),
+                                );
+                            }
                         }
                     }
                 }
@@ -762,7 +868,7 @@ impl Network for GossipMeshNode {
         rest.extend_from_slice(&peer.to_le_bytes());
         rest.extend_from_slice(&payload);
         let body = self.shared.own_frame(KIND_P2P_DIRECT, &span_of(&payload), 1, &rest);
-        self.shared.flood(&body, LOCAL);
+        self.shared.send_addressed(peer, &body);
     }
 
     fn submit_tob(&self, payload: Vec<u8>) {
@@ -777,7 +883,7 @@ impl Network for GossipMeshNode {
         } else {
             self.shared.trace_send(SEQUENCER, &payload);
             let body = self.shared.own_frame(KIND_TOB_SUBMIT, &span, 1, &payload);
-            self.shared.flood(&body, LOCAL);
+            self.shared.send_addressed(SEQUENCER, &body);
         }
     }
 
@@ -839,16 +945,21 @@ impl Network for GossipMeshNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::net::{IpAddr, Ipv4Addr};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     const TICK: Duration = Duration::from_secs(5);
 
+    fn loopback() -> SocketAddr {
+        SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0)
+    }
+
+    /// Binds `n` ephemeral-port listeners and connects the mesh — no
+    /// fixed port ranges, so parallel test binaries cannot collide.
     fn build_gossip(n: u16, degree: usize, seed: u64) -> Vec<GossipMeshNode> {
-        let loopback = SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0);
         let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind(loopback).expect("bind ephemeral"))
+            .map(|_| TcpListener::bind(loopback()).expect("bind ephemeral"))
             .collect();
         let addrs: Vec<SocketAddr> =
             listeners.iter().map(|l| l.local_addr().expect("local addr")).collect();
@@ -867,6 +978,36 @@ mod tests {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
+    /// Polls `cond` until it holds, failing with `what` after [`TICK`].
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + TICK;
+        while !cond() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn counter(registry: &theta_metrics::MetricsRegistry, name: &str) -> u64 {
+        registry.counter_value(name, &[]).unwrap_or(0)
+    }
+
+    /// Sends `body` from `node` on its link to `peer`, bypassing every
+    /// check the honest send paths apply: what a malicious roster member
+    /// can put on its own authenticated link.
+    fn inject(node: &GossipMeshNode, peer: NodeId, body: &[u8]) {
+        let idx = node.shared.links.iter().position(|l| l.peer == peer).expect("link");
+        node.shared.send_on_link(idx, body);
+    }
+
+    /// A TOB delivery frame originated by `node` (its own id and message
+    /// counter) claiming sequence slot `seq` for `payload`.
+    fn delivery_frame(node: &GossipMeshNode, seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut rest = seq.to_le_bytes().to_vec();
+        rest.extend_from_slice(&node.shared.id.to_le_bytes());
+        rest.extend_from_slice(payload);
+        node.shared.own_frame(KIND_TOB_DELIVER, &span_of(payload), 1, &rest)
+    }
+
     #[test]
     fn offsets_are_powers_of_two_truncated_by_degree() {
         assert_eq!(flood_offsets(20, 6), vec![1, 2, 4]);
@@ -883,9 +1024,32 @@ mod tests {
     }
 
     #[test]
+    fn degree_zero_or_a_saturating_degree_is_the_complete_graph() {
+        // (dials, accepts): the lower id of each pair dials.
+        assert_eq!(plan_links(4, 2, 0), (vec![3, 4], HashSet::from([1])));
+        assert_eq!(plan_links(20, 1, 0), ((2..=20).collect(), HashSet::new()));
+        // n = 3: the ring already links every pair.
+        assert_eq!(plan_links(3, 3, 2), (vec![], HashSet::from([1, 2])));
+        // n = 2: one link, not a dial and an accept to the same peer.
+        assert_eq!(plan_links(2, 1, 2), (vec![2], HashSet::new()));
+        // n = 4 at degree 2 (the ring) stays sparse.
+        assert_eq!(plan_links(4, 1, 2), (vec![2], HashSet::from([4])));
+
+        for node in build_gossip(4, 0, 20) {
+            assert!(node.is_complete());
+            assert_eq!(node.degree(), 3);
+        }
+        for node in build_gossip(3, 2, 20) {
+            assert!(node.is_complete());
+            assert_eq!(node.degree(), 2);
+        }
+    }
+
+    #[test]
     fn degree_is_sublinear() {
         let nodes = build_gossip(8, 4, 21);
         for node in &nodes {
+            assert!(!node.is_complete());
             assert!(
                 node.degree() < 7,
                 "degree {} is not sublinear for n=8",
@@ -897,58 +1061,65 @@ mod tests {
 
     #[test]
     fn broadcast_floods_to_all_nodes() {
-        let nodes = build_gossip(8, 4, 22);
-        nodes[2].broadcast_p2p(b"flood hello".to_vec());
-        for (i, node) in nodes.iter().enumerate() {
-            if i == 2 {
-                continue;
+        for (n, degree) in [(8, 4), (4, 0)] {
+            let nodes = build_gossip(n, degree, 22);
+            nodes[2].broadcast_p2p(b"flood hello".to_vec());
+            for (i, node) in nodes.iter().enumerate() {
+                if i == 2 {
+                    continue;
+                }
+                let ev = node.recv_timeout(TICK).expect("flood delivery");
+                assert_eq!(ev, NetworkEvent::P2p { from: 3, payload: b"flood hello".to_vec() });
             }
-            let ev = node.recv_timeout(TICK).expect("flood delivery");
-            assert_eq!(ev, NetworkEvent::P2p { from: 3, payload: b"flood hello".to_vec() });
+            // The origin must not see its own broadcast echoed back.
+            assert!(nodes[2].recv_timeout(Duration::from_millis(100)).is_none());
         }
-        // The origin must not see its own broadcast echoed back.
-        assert!(nodes[2].recv_timeout(Duration::from_millis(100)).is_none());
     }
 
     #[test]
     fn direct_send_reaches_only_the_target() {
-        let nodes = build_gossip(6, 2, 23);
-        // Node 2 → node 5: several ring hops away, so the frame is
-        // relayed through nodes that must not deliver it.
-        nodes[1].send_to(5, b"for five".to_vec());
-        let ev = nodes[4].recv_timeout(TICK).expect("direct delivery");
-        assert_eq!(ev, NetworkEvent::P2p { from: 2, payload: b"for five".to_vec() });
-        for (i, node) in nodes.iter().enumerate() {
-            if i == 4 {
-                continue;
+        for degree in [2, 0] {
+            let nodes = build_gossip(6, degree, 23);
+            // Node 2 → node 5: several ring hops away on the sparse
+            // graph, so the frame is relayed through nodes that must not
+            // deliver it.
+            nodes[1].send_to(5, b"for five".to_vec());
+            let ev = nodes[4].recv_timeout(TICK).expect("direct delivery");
+            assert_eq!(ev, NetworkEvent::P2p { from: 2, payload: b"for five".to_vec() });
+            for (i, node) in nodes.iter().enumerate() {
+                if i == 4 {
+                    continue;
+                }
+                assert!(
+                    node.recv_timeout(Duration::from_millis(100)).is_none(),
+                    "node {} saw a frame addressed to node 5 (degree {degree})",
+                    i + 1
+                );
             }
-            assert!(
-                node.recv_timeout(Duration::from_millis(100)).is_none(),
-                "node {} saw a frame addressed to node 5",
-                i + 1
-            );
         }
     }
 
     #[test]
     fn tob_total_order_over_gossip() {
-        let nodes = build_gossip(5, 2, 24);
-        nodes[1].submit_tob(b"x".to_vec());
-        nodes[4].submit_tob(b"y".to_vec());
-        nodes[0].submit_tob(b"z".to_vec());
-        let mut views = Vec::new();
-        for node in &nodes {
-            let mut seen = Vec::new();
-            for _ in 0..3 {
-                match node.recv_timeout(TICK) {
-                    Some(NetworkEvent::Tob { seq, payload, .. }) => seen.push((seq, payload)),
-                    other => panic!("expected tob, got {other:?}"),
+        for degree in [2, 0] {
+            let nodes = build_gossip(5, degree, 24);
+            nodes[1].submit_tob(b"x".to_vec());
+            nodes[4].submit_tob(b"y".to_vec());
+            nodes[0].submit_tob(b"z".to_vec());
+            let mut views = Vec::new();
+            for node in &nodes {
+                let mut seen = Vec::new();
+                for _ in 0..3 {
+                    match node.recv_timeout(TICK) {
+                        Some(NetworkEvent::Tob { seq, payload, .. }) => seen.push((seq, payload)),
+                        other => panic!("expected tob, got {other:?}"),
+                    }
                 }
+                views.push(seen);
             }
-            views.push(seen);
-        }
-        for v in &views[1..] {
-            assert_eq!(*v, views[0]);
+            for v in &views[1..] {
+                assert_eq!(*v, views[0]);
+            }
         }
     }
 
@@ -972,50 +1143,43 @@ mod tests {
 
     #[test]
     fn tampered_frame_tears_the_link_down_without_crashing() {
-        let mut nodes = build_gossip(4, 2, 26);
-        let registry = Arc::new(theta_metrics::MetricsRegistry::new());
-        nodes[1].attach_registry(&registry);
+        for degree in [2, 0] {
+            let mut nodes = build_gossip(4, degree, 26);
+            let registry = Arc::new(theta_metrics::MetricsRegistry::new());
+            nodes[1].attach_registry(&registry);
 
-        // Corrupt bytes injected on node 1's link toward node 2.
-        {
-            let link = nodes[0]
-                .shared
-                .links
-                .iter()
-                .find(|l| l.peer == 2)
-                .expect("ring link 1→2");
-            let mut conn = link.conn.lock();
-            let garbage = [7u8; 8];
-            conn.stream.write_all(&(garbage.len() as u32).to_le_bytes()).unwrap();
-            conn.stream.write_all(&garbage).unwrap();
-        }
+            // Corrupt bytes injected on node 1's link toward node 2.
+            {
+                let link = nodes[0]
+                    .shared
+                    .links
+                    .iter()
+                    .find(|l| l.peer == 2)
+                    .expect("link 1→2");
+                let mut conn = link.conn.lock();
+                let garbage = [7u8; 8];
+                conn.stream.write_all(&(garbage.len() as u32).to_le_bytes()).unwrap();
+                conn.stream.write_all(&garbage).unwrap();
+            }
 
-        let deadline = std::time::Instant::now() + TICK;
-        loop {
-            let aead = registry
-                .counter_value("theta_net_aead_failures_total", &[])
-                .unwrap_or(0);
-            if aead >= 1 {
-                break;
+            wait_until("tampering never tore the link down", || {
+                counter(&registry, "theta_net_aead_failures_total") >= 1
+                    && counter(&registry, "theta_tcp_reader_exits_total") >= 1
+            });
+            // The victim stays up. The sparse flood routes around the
+            // dead edge (ring direction 2→3→4→1 still works); the
+            // complete graph relays nothing, so only node 1 misses out.
+            nodes[1].broadcast_p2p(b"still alive".to_vec());
+            for (i, node) in nodes.iter().enumerate() {
+                if i == 1 {
+                    continue;
+                }
+                let cut_off = degree == 0 && i == 0;
+                let wait = if cut_off { Duration::from_millis(100) } else { TICK };
+                let want = (!cut_off)
+                    .then(|| NetworkEvent::P2p { from: 2, payload: b"still alive".to_vec() });
+                assert_eq!(node.recv_timeout(wait), want, "node {} at degree {degree}", i + 1);
             }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "aead failure never surfaced on the tampered link"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // The victim stays up, and the flood routes around the dead
-        // edge (ring direction 2→3→4→1 still works).
-        nodes[1].broadcast_p2p(b"still alive".to_vec());
-        for (i, node) in nodes.iter().enumerate() {
-            if i == 1 {
-                continue;
-            }
-            let ev = node.recv_timeout(TICK).expect("flood after teardown");
-            assert_eq!(
-                ev,
-                NetworkEvent::P2p { from: 2, payload: b"still alive".to_vec() }
-            );
         }
     }
 
@@ -1038,18 +1202,15 @@ mod tests {
         let ev = nodes[3].recv_timeout(TICK).expect("direct delivery");
         assert!(matches!(ev, NetworkEvent::P2p { from: 1, .. }));
 
-        let deadline = std::time::Instant::now() + TICK;
-        let recv = loop {
-            if let Some(ev) = journals[3]
+        let mut recv = None;
+        wait_until("receive never journaled", || {
+            recv = journals[3]
                 .events_for(&instance)
                 .into_iter()
-                .find(|e| e.kind == TraceEventKind::PeerRecv)
-            {
-                break ev;
-            }
-            assert!(std::time::Instant::now() < deadline, "receive never journaled");
-            std::thread::sleep(Duration::from_millis(5));
-        };
+                .find(|e| e.kind == TraceEventKind::PeerRecv);
+            recv.is_some()
+        });
+        let recv = recv.unwrap();
         assert_eq!(recv.peer, 1, "PeerRecv must carry the origin");
         assert!(recv.detail.contains("span=cafef00d00000000"), "detail: {}", recv.detail);
         assert!(recv.detail.contains("hop=3"), "detail: {}", recv.detail);
@@ -1064,6 +1225,82 @@ mod tests {
             .expect("an adjacent node must have relayed");
         assert!(relay.detail.contains("origin=1"), "detail: {}", relay.detail);
         assert!(relay.detail.contains("hop=2"), "detail: {}", relay.detail);
+    }
+
+    /// The trace context survives AEAD framing end to end: a payload
+    /// whose leading 32 bytes are an instance id yields PeerSend at the
+    /// sender and PeerRecv (with span and hop=1) at the receiver.
+    #[test]
+    fn trace_context_travels_with_the_frame() {
+        let mut nodes = build_gossip(2, 0, 35);
+        let j1 = Arc::new(TraceJournal::new(64));
+        let j2 = Arc::new(TraceJournal::new(64));
+        nodes[0].attach_journal(&j1);
+        nodes[1].attach_journal(&j2);
+
+        let mut instance = [0u8; 32];
+        instance[..8].copy_from_slice(&[0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4]);
+        let mut payload = instance.to_vec();
+        payload.extend_from_slice(b"envelope body");
+        nodes[0].send_to(2, payload);
+        let ev = nodes[1].recv_timeout(TICK).expect("delivery");
+        assert!(matches!(ev, NetworkEvent::P2p { from: 1, .. }));
+
+        let sends = j1.events_for(&instance);
+        assert_eq!(sends.len(), 1);
+        assert_eq!(sends[0].kind, TraceEventKind::PeerSend);
+        assert_eq!(sends[0].peer, 2);
+        assert!(sends[0].detail.contains("span=deadbeef01020304"));
+
+        // The receive is journaled off the demux thread; give it a tick.
+        let mut recvs = Vec::new();
+        wait_until("receive never journaled", || {
+            recvs = j2.events_for(&instance);
+            !recvs.is_empty()
+        });
+        assert_eq!(recvs[0].kind, TraceEventKind::PeerRecv);
+        assert_eq!(recvs[0].peer, 1);
+        assert!(recvs[0].detail.contains("span=deadbeef01020304"));
+        assert!(recvs[0].detail.contains("hop=1"), "detail: {}", recvs[0].detail);
+    }
+
+    /// The sequencer turning a TOB submit into a delivery increments the
+    /// hop count and journals the relay — the one relay on the complete
+    /// graph.
+    #[test]
+    fn sequencer_relay_increments_hop_and_journals() {
+        let mut nodes = build_gossip(3, 0, 29);
+        let journals: Vec<Arc<TraceJournal>> =
+            (0..3).map(|_| Arc::new(TraceJournal::new(64))).collect();
+        for (node, j) in nodes.iter_mut().zip(&journals) {
+            node.attach_journal(j);
+        }
+
+        let mut instance = [7u8; 32];
+        instance[0] = 0xab;
+        nodes[2].submit_tob(instance.to_vec()); // node 3 → sequencer → everyone
+        for node in &nodes {
+            let ev = node.recv_timeout(TICK).expect("tob delivery");
+            assert!(matches!(ev, NetworkEvent::Tob { from: 3, .. }));
+        }
+
+        let find = |j: &TraceJournal, kind: TraceEventKind| {
+            let mut found = None;
+            wait_until(&format!("no {kind:?} journaled"), || {
+                found = j.events_for(&instance).into_iter().find(|e| e.kind == kind);
+                found.is_some()
+            });
+            found.unwrap()
+        };
+        // Sequencer: received the submit at hop 1, relayed at hop 2.
+        let relay = find(&journals[0], TraceEventKind::RelayHop);
+        assert_eq!(relay.peer, 3);
+        assert!(relay.detail.contains("hop=2"), "relay detail: {}", relay.detail);
+        // Node 2 (pure bystander): the delivery crossed two links —
+        // submitter→sequencer, sequencer→node 2.
+        let recv = find(&journals[1], TraceEventKind::PeerRecv);
+        assert_eq!(recv.peer, SEQUENCER);
+        assert!(recv.detail.contains("hop=2"), "recv detail: {}", recv.detail);
     }
 
     #[test]
@@ -1086,23 +1323,283 @@ mod tests {
         }
         // The redundant copy arrives on its own schedule: poll the
         // counter rather than sleeping a fixed interval.
-        let deadline = std::time::Instant::now() + TICK;
-        loop {
-            let dups = registry
-                .counter_value("theta_gossip_duplicates_total", &[])
-                .unwrap_or(0);
-            if dups >= 1 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "a flood around a cycle must produce a counted duplicate"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        wait_until("a flood around a cycle must produce a counted duplicate", || {
+            counter(&registry, "theta_gossip_duplicates_total") >= 1
+        });
         // Exactly one delivery per node despite multiple arrival paths.
         for node in &mut nodes[1..] {
             assert!(node.recv_timeout(Duration::from_millis(100)).is_none());
         }
+    }
+
+    /// The complete graph costs what a full mesh costs: n−1 frames per
+    /// broadcast, one per direct send, and no relays or duplicates.
+    #[test]
+    fn complete_graph_sends_one_frame_per_addressee() {
+        let mut nodes = build_gossip(4, 0, 30);
+        let registry = Arc::new(theta_metrics::MetricsRegistry::new());
+        nodes[0].attach_registry(&registry); // node 1 only
+        assert_eq!(counter(&registry, "theta_net_connects_total"), 3);
+        assert_eq!(counter(&registry, "theta_net_handshakes_total"), 3);
+        let sent = |peer: &str| {
+            registry.counter_value("theta_net_messages_sent_total", &[("peer", peer)]).unwrap()
+        };
+        let sent_total = || ["2", "3", "4"].map(sent).iter().sum::<u64>();
+
+        nodes[0].broadcast_p2p(b"abcd".to_vec());
+        for node in &nodes[1..] {
+            assert!(node.recv_timeout(TICK).is_some());
+        }
+        assert_eq!(sent_total(), 3);
+        // 20-byte flood header + 4-byte payload + 16-byte AEAD tag.
+        assert_eq!(
+            registry.counter_value("theta_net_bytes_sent_total", &[("peer", "2")]),
+            Some(40)
+        );
+
+        nodes[0].send_to(3, b"abcd".to_vec());
+        assert!(nodes[2].recv_timeout(TICK).is_some());
+        assert_eq!(sent_total(), 4);
+        assert_eq!(sent("3"), 2);
+
+        nodes[1].send_to(1, b"xy".to_vec());
+        assert!(nodes[0].recv_timeout(TICK).is_some());
+        assert_eq!(
+            registry.counter_value("theta_net_messages_received_total", &[("peer", "2")]),
+            Some(1)
+        );
+        // Header + 2-byte addressee + 2-byte payload + AEAD tag.
+        assert_eq!(
+            registry.counter_value("theta_net_bytes_received_total", &[("peer", "2")]),
+            Some(40)
+        );
+        assert_eq!(counter(&registry, "theta_gossip_relayed_total"), 0);
+        assert_eq!(counter(&registry, "theta_gossip_duplicates_total"), 0);
+
+        // Every link ran the post-handshake probe; both ends share one
+        // clock, so the offsets must be (near) zero.
+        for peer in ["2", "3", "4"] {
+            let off = registry
+                .gauge_value("theta_clock_offset_micros", &[("peer", peer)])
+                .expect("offset gauge registered");
+            assert!(off.abs() < 1_000_000, "same-host offset too large: {off}µs");
+        }
+    }
+
+    /// Regression: a roster member could originate a "delivery" under its
+    /// own id and take a sequence slot ahead of the sequencer, so nodes
+    /// disagreed on the total order. Deliveries count only from node 1.
+    #[test]
+    fn delivery_from_a_non_sequencer_origin_is_dropped() {
+        for degree in [2, 0] {
+            let nodes = build_gossip(4, degree, 31);
+            let forged = delivery_frame(&nodes[2], 0, b"forged");
+            for peer in [2, 4] {
+                inject(&nodes[2], peer, &forged);
+            }
+            nodes[1].submit_tob(b"honest".to_vec());
+            for node in &nodes {
+                match node.recv_timeout(TICK) {
+                    Some(NetworkEvent::Tob { seq: 0, from: 2, payload }) => {
+                        assert_eq!(payload, b"honest", "degree {degree}");
+                    }
+                    other => panic!("expected the honest delivery at seq 0, got {other:?}"),
+                }
+                assert!(node.recv_timeout(Duration::from_millis(100)).is_none());
+            }
+        }
+    }
+
+    /// On the complete graph no member can speak for another: P2P
+    /// frames, TOB submits and TOB deliveries whose origin is not the
+    /// link's authenticated peer are all dropped.
+    #[test]
+    fn complete_graph_drops_frames_with_a_foreign_origin() {
+        let nodes = build_gossip(3, 0, 32);
+        let as_origin = |mut body: Vec<u8>, origin: NodeId| {
+            body[..2].copy_from_slice(&origin.to_le_bytes());
+            body
+        };
+        // Node 3 claims to be node 2 in a broadcast to node 1.
+        let p2p = nodes[2].shared.own_frame(KIND_P2P_BCAST, &[0; SPAN_LEN], 1, b"who am i");
+        inject(&nodes[2], 1, &as_origin(p2p, 2));
+        // ... submits to the sequencer as node 2 ...
+        let submit = nodes[2].shared.own_frame(KIND_TOB_SUBMIT, &[0; SPAN_LEN], 1, b"forged");
+        inject(&nodes[2], 1, &as_origin(submit, 2));
+        // ... and pushes a delivery to node 2 as the sequencer.
+        inject(&nodes[2], 2, &as_origin(delivery_frame(&nodes[2], 0, b"fake"), SEQUENCER));
+
+        // An honest submit afterwards is the only event anyone sees.
+        nodes[2].submit_tob(b"honest".to_vec());
+        for node in &nodes {
+            match node.recv_timeout(TICK) {
+                Some(NetworkEvent::Tob { seq: 0, from: 3, payload }) => {
+                    assert_eq!(payload, b"honest");
+                }
+                other => panic!("expected the honest submit first, got {other:?}"),
+            }
+            assert!(node.recv_timeout(Duration::from_millis(100)).is_none());
+        }
+    }
+
+    #[test]
+    fn bad_node_id_rejected() {
+        let list = vec![
+            TcpListener::bind(loopback()).unwrap().local_addr().unwrap(),
+            TcpListener::bind(loopback()).unwrap().local_addr().unwrap(),
+        ];
+        let auth = |id| MeshAuth::insecure_dev(id, 2, 33);
+        assert!(GossipMesh::connect(0, &list, auth(1), 0).is_err());
+        assert!(GossipMesh::connect(3, &list, auth(3), 0).is_err());
+    }
+
+    /// Regression: a second connection claiming an already-seen peer id
+    /// used to overwrite the live peer's slot and leave the original
+    /// half-dead; it must be rejected at setup instead.
+    #[test]
+    fn duplicate_hello_is_rejected() {
+        let listener = TcpListener::bind(loopback()).unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Node 3 of a complete 3-mesh expects inbound from nodes 1 and 2.
+        let addrs = vec![addr, addr, addr];
+        let accepter = std::thread::spawn(move || {
+            GossipMesh::connect_listener(3, listener, &addrs, MeshAuth::insecure_dev(3, 3, 77), 0)
+        });
+        // Two dialers, both with node 1's (valid!) identity. A real
+        // dialer follows the handshake with the offset probe, so these
+        // do too (the accepter's probe would otherwise time out before
+        // it ever sees the duplicate).
+        let dial = || {
+            let auth = MeshAuth::insecure_dev(1, 3, 77);
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(TICK)).unwrap();
+            let target = *auth.roster.get(3).unwrap();
+            let result = handshake::initiate(&mut stream, 1, &auth.identity, &target);
+            if let Ok(mut session) = result {
+                let _ = handshake::offset_probe_initiate(&mut stream, &mut session);
+            }
+            stream
+        };
+        let _first = dial();
+        let _second = dial();
+        match accepter.join().unwrap() {
+            Err(NetworkError::Setup(msg)) => {
+                assert!(msg.contains("duplicate"), "unexpected message: {msg}")
+            }
+            Err(other) => panic!("expected duplicate-hello rejection, got {other:?}"),
+            Ok(_) => panic!("expected duplicate-hello rejection, got a mesh"),
+        }
+    }
+
+    /// Regression: a dialer that connects and never speaks used to stall
+    /// mesh setup forever on the blocking hello read; the handshake read
+    /// timeout must fail setup instead.
+    #[test]
+    fn mute_dialer_cannot_stall_mesh_setup() {
+        let listener = TcpListener::bind(loopback()).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let addrs = vec![addr, addr];
+        let accepter = std::thread::spawn(move || {
+            GossipMesh::connect_listener(2, listener, &addrs, MeshAuth::insecure_dev(2, 2, 78), 0)
+        });
+        // Connect and say nothing, keeping the socket open.
+        let mute = TcpStream::connect(addr).unwrap();
+        let start = Instant::now();
+        let result = accepter.join().unwrap();
+        assert!(result.is_err(), "mesh setup must fail on a mute dialer");
+        assert!(
+            start.elapsed() < HANDSHAKE_TIMEOUT + Duration::from_secs(5),
+            "setup took too long: {:?}",
+            start.elapsed()
+        );
+        drop(mute);
+    }
+
+    /// Regression: write errors used to vanish into `let _ =` and
+    /// reader-thread deaths were invisible; both must count.
+    #[test]
+    fn dead_link_is_observable_in_counters() {
+        let mut nodes = build_gossip(2, 0, 34);
+        let registry = Arc::new(theta_metrics::MetricsRegistry::new());
+        let node2 = nodes.pop().unwrap();
+        let mut node1 = nodes.pop().unwrap();
+        node1.attach_registry(&registry);
+        drop(node2); // closes its sockets: node 1's link is now dead
+
+        // The reader sees EOF and its exit is counted.
+        wait_until("reader exit never counted", || {
+            counter(&registry, "theta_tcp_reader_exits_total") >= 1
+        });
+        // Writes to the dead link eventually fail (first ones may land
+        // in the kernel buffer) and the failures are counted.
+        wait_until("send error never counted", || {
+            node1.send_to(2, vec![0u8; 4096]);
+            counter(&registry, "theta_tcp_send_errors_total") >= 1
+        });
+    }
+
+    /// A man-in-the-middle recording the wire must see only handshake
+    /// material and ciphertext: every inter-node byte after the hello is
+    /// AEAD-protected.
+    #[test]
+    fn wire_carries_no_plaintext() {
+        let captured: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+
+        fn pipe(mut from: TcpStream, mut to: TcpStream, cap: Arc<Mutex<Vec<u8>>>) {
+            let mut buf = [0u8; 4096];
+            loop {
+                match from.read(&mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => {
+                        cap.lock().extend_from_slice(&buf[..n]);
+                        if to.write_all(&buf[..n]).is_err() {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+
+        let node2_listener = TcpListener::bind(loopback()).unwrap();
+        let node2_addr = node2_listener.local_addr().unwrap();
+        // The forwarder takes node 2's place in node 1's address list.
+        let mitm_listener = TcpListener::bind(loopback()).unwrap();
+        let mitm_addr = mitm_listener.local_addr().unwrap();
+        let cap = captured.clone();
+        std::thread::spawn(move || {
+            let (client, _) = mitm_listener.accept().unwrap();
+            let server = TcpStream::connect(node2_addr).unwrap();
+            let c2 = client.try_clone().unwrap();
+            let s2 = server.try_clone().unwrap();
+            let cap2 = cap.clone();
+            std::thread::spawn(move || pipe(c2, server, cap));
+            std::thread::spawn(move || pipe(s2, client, cap2));
+        });
+
+        let node1_listener = TcpListener::bind(loopback()).unwrap();
+        let node1_addrs = vec![node1_listener.local_addr().unwrap(), mitm_addr];
+        let node2_addrs = vec![node1_addrs[0], node2_addr];
+        let node2 = std::thread::spawn(move || {
+            let auth = MeshAuth::insecure_dev(2, 2, 79);
+            GossipMesh::connect_listener(2, node2_listener, &node2_addrs, auth, 0).unwrap()
+        });
+        let auth = MeshAuth::insecure_dev(1, 2, 79);
+        let node1 = GossipMesh::connect_listener(1, node1_listener, &node1_addrs, auth, 0).unwrap();
+        let node2 = node2.join().unwrap();
+
+        let secret = b"ATTACK AT DAWN: distinctive plaintext marker 5f2c9a";
+        node1.broadcast_p2p(secret.to_vec());
+        let ev = node2.recv_timeout(TICK).expect("delivery through the mitm");
+        assert_eq!(ev, NetworkEvent::P2p { from: 1, payload: secret.to_vec() });
+        node2.send_to(1, secret.to_vec());
+        let _ = node1.recv_timeout(TICK).expect("reverse delivery");
+
+        let wire = captured.lock().clone();
+        assert!(!wire.is_empty(), "the mitm saw no traffic at all");
+        // Not even a 16-byte fragment of the payload may appear.
+        assert!(
+            !wire.windows(16).any(|w| secret.windows(16).any(|s| s == w)),
+            "plaintext leaked onto the wire"
+        );
     }
 }

@@ -12,9 +12,10 @@
 //!   DigitalOcean fleets for tests and the evaluation harness (the RTTs
 //!   of Table 2 become [`LinkProfile`]s), and doubles as the failure
 //!   injection harness.
-//! - [`tcp`] — a real TCP full mesh (length-prefixed frames over
-//!   `std::net`) with a leader-sequencer TOB, standing in for the
-//!   libp2p overlay / TOB proxy of the original system.
+//! - [`gossip`] — real TCP links authenticated and encrypted by
+//!   [`handshake`], as a full mesh or a sparse flood overlay, with a
+//!   leader-sequencer TOB, standing in for the libp2p overlay / TOB
+//!   proxy of the original system.
 //!
 //! TOB semantics: every submitted message is delivered to **all** nodes
 //! (including the submitter) in one global sequence order. P2P broadcast
@@ -24,7 +25,6 @@ pub mod demux;
 pub mod gossip;
 pub mod handshake;
 pub mod inmemory;
-pub mod tcp;
 
 use parking_lot::Mutex;
 use std::time::Duration;

@@ -238,9 +238,10 @@ fn lossy_network_retries_nothing_but_quorum_still_forms() {
 
 #[test]
 fn tcp_mesh_runs_a_real_protocol() {
-    // End-to-end over real TCP sockets (the standalone deployment mode).
+    // End-to-end over real TCP sockets (the standalone deployment mode):
+    // mesh degree 0 is the full mesh.
+    use theta_network::gossip::GossipMesh;
     use theta_network::handshake::MeshAuth;
-    use theta_network::tcp::TcpMesh;
     use theta_network::Network;
     use theta_orchestration::{spawn_node, KeyChest, NodeConfig};
     use thetacrypt::schemes::ThresholdParams;
@@ -264,7 +265,9 @@ fn tcp_mesh_runs_a_real_protocol() {
             let list = addrs.clone();
             std::thread::spawn(move || {
                 let auth = MeshAuth::insecure_dev(id, 4, 0xC0FFEE);
-                TcpMesh::connect_listener(id, listener, &list, auth).unwrap()
+                let mesh = GossipMesh::connect_listener(id, listener, &list, auth, 0).unwrap();
+                assert!(mesh.is_complete());
+                mesh
             })
         })
         .collect();
