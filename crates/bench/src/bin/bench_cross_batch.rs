@@ -3,9 +3,9 @@
 //!
 //! The PR-7 acceptance measurement: 8 concurrent BLS04 signing
 //! instances, each holding a quorum's worth of pending
-//! partial-signature checks. Per-instance lazy batching (PR 2) settles
-//! each instance alone — one pairing-product equation per instance, as
-//! `OneRoundProtocol`'s lazy mode does at quorum. Cross-instance
+//! partial-signature checks. The per-instance baseline settles each
+//! instance alone — one pairing-product equation per instance, the
+//! batch an instance-local verifier would run at quorum. Cross-instance
 //! batching (this PR's pool aggregator) folds *all* instances' checks
 //! into one RLC'd multi-Miller pairing product with a single shared
 //! final exponentiation, via `theta_schemes::batch::settle_mixed`.
@@ -119,7 +119,7 @@ struct Comparison {
 /// Times both settle strategies over the same pool of pending checks.
 /// `iters` repetitions; returns the mean per sweep of the whole pool.
 fn compare(instances: &[Vec<PendingCheck>], iters: usize) -> Comparison {
-    // Per-instance lazy batching: one settle per instance.
+    // Per-instance batching: one settle per instance.
     let start = Instant::now();
     for _ in 0..iters {
         for inst in instances {
@@ -160,13 +160,13 @@ fn main() {
     println!(
         "bls04  {INSTANCES} instances x {SHARES_PER_INSTANCE} shares ({checks_total} checks)"
     );
-    println!("  per-instance lazy: {:>9.1} µs/pool sweep", bls.per_instance_us);
+    println!("  per-instance:      {:>9.1} µs/pool sweep", bls.per_instance_us);
     println!("  cross-instance:    {:>9.1} µs/pool sweep", bls.cross_batch_us);
     println!("  aggregate verify speedup: {:.2}x (gate {ACCEPTANCE_SPEEDUP}x)", bls.speedup);
 
     let mixed = compare(&mixed_instances(&mut r), iters);
     println!("mixed  8 instances across 4 schemes ({checks_total} checks)");
-    println!("  per-instance lazy: {:>9.1} µs/pool sweep", mixed.per_instance_us);
+    println!("  per-instance:      {:>9.1} µs/pool sweep", mixed.per_instance_us);
     println!("  cross-instance:    {:>9.1} µs/pool sweep", mixed.cross_batch_us);
     println!("  aggregate verify speedup: {:.2}x (informational)", mixed.speedup);
 

@@ -309,7 +309,6 @@ impl ThetaNetworkBuilder {
         );
         let node_config = |builder: &ThetaNetworkBuilder| NodeConfig {
             instance_timeout: builder.instance_timeout,
-            use_precomputed_nonces: builder.kg20_nonce_stock > 0,
             worker_threads: builder.worker_threads,
             submission_queue_capacity: builder
                 .submission_queue_capacity

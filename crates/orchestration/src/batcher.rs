@@ -1,16 +1,15 @@
 //! The cross-instance batch aggregator (pool-scoped share verification).
 //!
-//! Per-instance lazy batching (PR 3) amortizes verification *within*
-//! one instance: at most `quorum` checks fold into one MSM. Under many
-//! concurrent instances the bigger win is folding checks *across*
-//! instances: every pending DLEQ proof in the pool — whatever instance,
-//! whatever Fiat–Shamir domain — verifies as one random-linear-
-//! combination MSM, and every pending pairing check as one multi-Miller
-//! pairing product, via [`theta_schemes::batch::settle_mixed`].
+//! Batching inside one instance could fold at most `quorum` checks into
+//! one MSM. Under many concurrent instances the bigger win is folding
+//! checks *across* instances: every pending DLEQ proof in the pool —
+//! whatever instance, whatever Fiat–Shamir domain — verifies as one
+//! random-linear-combination MSM, and every pending pairing check as one
+//! multi-Miller pairing product, via [`theta_schemes::batch::settle_mixed`].
 //!
 //! The flow:
 //!
-//! 1. pooled-mode protocols defer each share's check as a detached
+//! 1. one-round protocols defer each share's check as a detached
 //!    [`PendingCheck`]; the worker that drained the instance submits
 //!    them here ([`BatchAggregator::submit`]);
 //! 2. the submission that crosses `flush_size` claims the flush duty

@@ -183,8 +183,8 @@ impl InstanceHost {
         );
         match verdict {
             Ok(()) => {
-                // In pooled mode an accepted share is *deferred*, not
-                // verified: its check surfaces here and the trace shows
+                // A batchable share is *deferred*, not verified: its
+                // check surfaces here and the trace shows
                 // BatchEnqueued instead of ShareVerified (which arrives
                 // later with the batch verdicts).
                 let before = checks_out.len();

@@ -60,21 +60,8 @@ const EVENT_BATCH: usize = 64;
 pub struct NodeConfig {
     /// Instances with no progress past this deadline are failed.
     pub instance_timeout: Duration,
-    /// Use the KG20 precomputed-nonce stock when available.
-    pub use_precomputed_nonces: bool,
-    /// Defer share verification until a quorum arrives and verify the
-    /// whole pending set with one batched check (MSM / pairing-product);
-    /// invalid shares are pruned and the instance keeps waiting. Eager
-    /// per-share verification is used when false.
-    pub lazy_batch_verification: bool,
-    /// Pool-scoped batching: defer every batchable share check to the
-    /// node-wide aggregator, which folds checks from *all* concurrent
-    /// instances into one RLC/MSM settle. Takes precedence over
-    /// `lazy_batch_verification` for schemes that support detached
-    /// checks; non-batchable schemes fall back per the other flags.
-    pub cross_instance_batching: bool,
-    /// The aggregator settles as soon as this many checks are pending
-    /// (the size flush, run by the submitting worker).
+    /// The cross-instance batch aggregator settles as soon as this many
+    /// checks are pending (the size flush, run by the submitting worker).
     pub batch_flush_size: usize,
     /// A pending check older than this triggers a flush even below the
     /// size threshold — bounds the latency cost of batching.
@@ -110,9 +97,6 @@ impl Default for NodeConfig {
     fn default() -> Self {
         NodeConfig {
             instance_timeout: Duration::from_secs(30),
-            use_precomputed_nonces: true,
-            lazy_batch_verification: true,
-            cross_instance_batching: true,
             batch_flush_size: 16,
             batch_flush_age: Duration::from_millis(1),
             rng_seed: None,
@@ -536,7 +520,6 @@ struct RouterMetrics {
     dropped_residual: Arc<Counter>,
     shares_rejected: Arc<Counter>,
     event_loop_errors: Arc<Counter>,
-    batch_verify_ok: Arc<Counter>,
     shares_pruned: Arc<Counter>,
     eager_verifies: Arc<Counter>,
     shares_cross_batched: Arc<Counter>,
@@ -554,7 +537,6 @@ impl RouterMetrics {
                 .counter_with("theta_messages_dropped_total", &[("reason", "residual")]),
             shares_rejected: registry.counter("theta_shares_rejected_total"),
             event_loop_errors: registry.counter("theta_event_loop_errors_total"),
-            batch_verify_ok: registry.counter("theta_batch_verify_ok_total"),
             shares_pruned: registry.counter("theta_shares_pruned_total"),
             eager_verifies: registry.counter("theta_share_verifications_eager_total"),
             shares_cross_batched: registry.counter("theta_shares_cross_batched_total"),
@@ -872,25 +854,6 @@ impl Router {
         request: &Request,
     ) -> Result<Box<dyn ThresholdRoundProtocol>, SchemeError> {
         let malformed = |e: theta_codec::CodecError| SchemeError::Malformed(e.to_string());
-        // Verification-mode precedence: pooled (cross-instance batching)
-        // over lazy (instance-local batching at quorum) over eager
-        // (per-share inline). Pooled protocols whose scheme cannot
-        // detach checks (SH00) verify inline anyway.
-        fn one_round<S: theta_protocols::one_round::OneRoundScheme + 'static>(
-            pooled: bool,
-            lazy: bool,
-            scheme: S,
-        ) -> Box<OneRoundProtocol<S>> {
-            Box::new(if pooled {
-                OneRoundProtocol::new_pooled(scheme)
-            } else if lazy {
-                OneRoundProtocol::new_lazy(scheme)
-            } else {
-                OneRoundProtocol::new(scheme)
-            })
-        }
-        let pooled = self.config.cross_instance_batching;
-        let lazy = self.config.lazy_batch_verification;
         // A scoped request resolves its tenant chest through the key
         // provider, then builds the inner operation against it; plain
         // requests resolve the default chest the same way.
@@ -906,37 +869,34 @@ impl Router {
                     SchemeError::KeyMismatch("no sg02 key provisioned".into())
                 })?;
                 let ct = theta_schemes::sg02::Ciphertext::decoded(bytes).map_err(malformed)?;
-                Ok(one_round(pooled, lazy, Sg02Decrypt::new(key, ct)))
+                Ok(Box::new(OneRoundProtocol::new_pooled(Sg02Decrypt::new(key, ct))))
             }
             Request::Bz03Decrypt(bytes) => {
                 let key = chest.bz03.clone().ok_or_else(|| {
                     SchemeError::KeyMismatch("no bz03 key provisioned".into())
                 })?;
                 let ct = theta_schemes::bz03::Ciphertext::decoded(bytes).map_err(malformed)?;
-                Ok(one_round(pooled, lazy, Bz03Decrypt::new(key, ct)))
+                Ok(Box::new(OneRoundProtocol::new_pooled(Bz03Decrypt::new(key, ct))))
             }
             Request::Sh00Sign(message) => {
                 let key = chest.sh00.clone().ok_or_else(|| {
                     SchemeError::KeyMismatch("no sh00 key provisioned".into())
                 })?;
-                Ok(one_round(pooled, lazy, Sh00Sign::new(key, message.clone())))
+                Ok(Box::new(OneRoundProtocol::new_pooled(Sh00Sign::new(key, message.clone()))))
             }
             Request::Bls04Sign(message) => {
                 let key = chest.bls04.clone().ok_or_else(|| {
                     SchemeError::KeyMismatch("no bls04 key provisioned".into())
                 })?;
-                Ok(one_round(pooled, lazy, Bls04Sign::new(key, message.clone())))
+                Ok(Box::new(OneRoundProtocol::new_pooled(Bls04Sign::new(key, message.clone()))))
             }
             Request::Kg20Sign(message) => {
                 let key = chest.kg20.clone().ok_or_else(|| {
                     SchemeError::KeyMismatch("no kg20 key provisioned".into())
                 })?;
-                let nonce = if self.config.use_precomputed_nonces {
-                    chest.kg20_nonces.pop_front()
-                } else {
-                    None
-                };
-                Ok(Box::new(match nonce {
+                // The stock is empty unless the node was provisioned
+                // with precomputed nonces.
+                Ok(Box::new(match chest.kg20_nonces.pop_front() {
                     Some(n) => Kg20Sign::with_precomputed_nonce(key, message.clone(), n),
                     None => Kg20Sign::new(key, message.clone()),
                 }))
@@ -945,7 +905,7 @@ impl Router {
                 let key = chest.cks05.clone().ok_or_else(|| {
                     SchemeError::KeyMismatch("no cks05 key provisioned".into())
                 })?;
-                Ok(one_round(pooled, lazy, Cks05Coin::new(key, name.clone())))
+                Ok(Box::new(OneRoundProtocol::new_pooled(Cks05Coin::new(key, name.clone()))))
             }
             Request::Scoped { .. } => {
                 // Unreachable by construction (depth-one invariant), but
@@ -1152,7 +1112,6 @@ impl Router {
         if let Some(stats) = stats {
             // Fold the protocol's verification stats into the registry
             // now that the instance is final.
-            self.metrics.batch_verify_ok.add(stats.batch_verify_ok);
             self.metrics.shares_pruned.add(stats.shares_pruned);
             self.metrics.eager_verifies.add(stats.eager_verifies);
             self.metrics.shares_cross_batched.add(stats.cross_batched);
@@ -1817,7 +1776,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     #[test]
-    fn cross_instance_batching_settles_and_traces() {
+    fn cross_instance_batch_settles_and_traces() {
         // Several concurrent BLS04 instances on a 4-node network: shares
         // from all instances must verify through the pool aggregator
         // (not per-instance checks), the flush counters/histogram must

@@ -116,15 +116,12 @@ impl ProtocolOutput {
 /// node's metrics when the instance finishes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProtocolStats {
-    /// Batched verifications that cleared a whole pending set in one
-    /// check (one MSM / pairing-product).
-    pub batch_verify_ok: u64,
-    /// Shares pruned by the bisection fallback after a batch failed.
+    /// Shares dropped because their cross-instance check failed.
     pub shares_pruned: u64,
-    /// Per-share eager verifications performed.
+    /// Per-share inline verifications (schemes without a detachable
+    /// check, i.e. SH00).
     pub eager_verifies: u64,
-    /// Shares verified by a *cross-instance* batch settle (pool-scoped
-    /// batching, PR 7) instead of an instance-local check.
+    /// Shares verified by a cross-instance batch settle.
     pub cross_batched: u64,
 }
 

@@ -9,7 +9,7 @@ use crate::{
     InboundMessage, OutboundMessage, ProtocolOutput, ProtocolStats, RoundOutput,
     ThresholdRoundProtocol, Transport,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use theta_schemes::batch::PendingCheck;
 use theta_schemes::{bls04, bz03, cks05, sg02, sh00, PartyId, SchemeError};
 
@@ -32,27 +32,9 @@ pub trait OneRoundScheme: Send {
     /// Scheme-level failures (invalid ciphertext, ...) abort the instance.
     fn create_share(&self, rng: &mut dyn rand::RngCore) -> Result<Self::Share, SchemeError>;
 
-    /// Verifies a received share; invalid shares are discarded.
+    /// Verifies a received share inline. Used only for schemes whose
+    /// [`Self::pending_check`] returns `None`.
     fn verify_share(&self, share: &Self::Share) -> bool;
-
-    /// Verifies a batch of shares at once, returning the first invalid
-    /// party on failure. The default checks serially; schemes with a
-    /// batched verifier (one MSM / one pairing-product for the whole
-    /// batch) override this.
-    ///
-    /// # Errors
-    ///
-    /// [`SchemeError::InvalidShare`] naming the first invalid share.
-    fn verify_shares_batch(&self, shares: &[Self::Share]) -> Result<(), SchemeError> {
-        for share in shares {
-            if !self.verify_share(share) {
-                return Err(SchemeError::InvalidShare {
-                    party: Self::share_party(share).value(),
-                });
-            }
-        }
-        Ok(())
-    }
 
     /// The party a share claims to come from.
     fn share_party(share: &Self::Share) -> PartyId;
@@ -67,146 +49,78 @@ pub trait OneRoundScheme: Send {
     /// [`SchemeError::Malformed`] on undecodable bytes.
     fn decode_share(&self, bytes: &[u8]) -> Result<Self::Share, SchemeError>;
 
-    /// Combines a quorum of verified shares into the final output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheme combination failures.
-    fn combine(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError>;
-
     /// Captures a received share's validity check as a detached
     /// [`PendingCheck`] for cross-instance batching. Schemes without a
-    /// batchable check (SH00's RSA proofs) return `None` and fall back
-    /// to eager inline verification in pooled mode.
+    /// batchable check (SH00's RSA proofs) return `None` and are verified
+    /// inline with [`Self::verify_share`].
     fn pending_check(&self, share: &Self::Share) -> Option<PendingCheck> {
         let _ = share;
         None
     }
 
     /// Combines a quorum of shares that were **already individually
-    /// verified** (by the cross-instance batch settle), skipping the
-    /// per-combine re-verification. Default falls back to [`Self::combine`].
+    /// verified**, so implementations may skip per-share re-verification.
     ///
     /// # Errors
     ///
     /// Propagates scheme combination failures.
-    fn combine_preverified(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
-        self.combine(shares)
-    }
-}
-
-/// How a [`OneRoundProtocol`] verifies incoming shares.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    /// Verify each share inline on arrival.
-    Eager,
-    /// Store shares unchecked; batch-verify the instance's pending set
-    /// once a quorum of candidates accumulates.
-    Lazy,
-    /// Defer each share's check to the pool-scoped cross-instance batch
-    /// aggregator; shares count toward quorum only once their verdict
-    /// arrives via [`ThresholdRoundProtocol::resolve_checks`].
-    Pooled,
+    fn combine(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError>;
 }
 
 /// TRI state machine for any [`OneRoundScheme`].
+///
+/// Each received share's validity check is detached as a
+/// [`PendingCheck`] (drained via
+/// [`ThresholdRoundProtocol::take_pending_checks`]) so the orchestration
+/// layer can settle checks from *many concurrent instances* in one
+/// combined equation. Shares count toward quorum once their verdict
+/// arrives through [`ThresholdRoundProtocol::resolve_checks`]; by then
+/// every quorum share is individually verified, so finalization only
+/// pays for the Lagrange combine. Schemes without a detachable check
+/// (SH00) verify inline on arrival.
+///
+/// A party whose share fails verification is excluded for the rest of
+/// the instance: its later shares are rejected and its later verdicts
+/// ignored. Senders are link-authenticated, so only a faulty party can
+/// produce a failing share, and a verdict (keyed by party) can never
+/// land on a share other than the one it checked.
 pub struct OneRoundProtocol<S: OneRoundScheme> {
     scheme: S,
     round: u16,
     shares: BTreeMap<PartyId, S::Share>,
-    verified: std::collections::BTreeSet<PartyId>,
-    mode: Mode,
+    verified: BTreeSet<PartyId>,
+    excluded: BTreeSet<PartyId>,
     outbox: Vec<(PartyId, PendingCheck)>,
     finished: bool,
     stats: ProtocolStats,
 }
 
 impl<S: OneRoundScheme> OneRoundProtocol<S> {
-    /// Wraps a scheme adapter into a fresh protocol instance that
-    /// verifies each share eagerly on arrival.
-    pub fn new(scheme: S) -> Self {
+    /// Wraps a scheme adapter into a fresh protocol instance.
+    pub fn new_pooled(scheme: S) -> Self {
         OneRoundProtocol {
             scheme,
             round: 0,
             shares: BTreeMap::new(),
-            verified: std::collections::BTreeSet::new(),
-            mode: Mode::Eager,
+            verified: BTreeSet::new(),
+            excluded: BTreeSet::new(),
             outbox: Vec::new(),
             finished: false,
             stats: ProtocolStats::default(),
         }
     }
 
-    /// Wraps a scheme adapter with *lazy batched verification*: incoming
-    /// shares are stored unchecked until a quorum accumulates, then all
-    /// pending shares are verified in one batch (one MSM or one
-    /// pairing-product for the whole set). Invalid shares are pruned so
-    /// the instance keeps waiting for honest ones — semantics match the
-    /// eager mode, with per-quorum instead of per-share verification
-    /// cost.
-    pub fn new_lazy(scheme: S) -> Self {
-        let mut p = Self::new(scheme);
-        p.mode = Mode::Lazy;
-        p
-    }
-
-    /// Wraps a scheme adapter with *pool-scoped batched verification*:
-    /// each incoming share's validity check is detached as a
-    /// [`PendingCheck`] (drained via
-    /// [`ThresholdRoundProtocol::take_pending_checks`]) so the
-    /// orchestration layer can settle checks from *many concurrent
-    /// instances* in one combined equation. Shares count toward quorum
-    /// once their verdict arrives through
-    /// [`ThresholdRoundProtocol::resolve_checks`]; by then every quorum
-    /// share is individually verified, so finalization combines with
-    /// [`OneRoundScheme::combine_preverified`] — only the Lagrange MSM
-    /// (and any final output check) remains on the critical combine path,
-    /// overlapping verification with share arrival instead of paying for
-    /// it at quorum settle.
-    pub fn new_pooled(scheme: S) -> Self {
-        let mut p = Self::new(scheme);
-        p.mode = Mode::Pooled;
-        p
-    }
-
-    /// Number of shares currently held (in lazy mode this may include
-    /// not-yet-verified shares below quorum).
+    /// Number of shares currently held, verified or still awaiting
+    /// their verdict.
     pub fn share_count(&self) -> usize {
         self.shares.len()
     }
 
-    /// Batch-verifies all pending shares, removing any that fail.
-    /// Returns the parties whose shares were pruned.
-    fn settle_pending(&mut self) -> Result<Vec<PartyId>, SchemeError> {
-        let mut pruned = Vec::new();
-        loop {
-            let pending: Vec<(PartyId, S::Share)> = self
-                .shares
-                .iter()
-                .filter(|(id, _)| !self.verified.contains(id))
-                .map(|(id, s)| (*id, s.clone()))
-                .collect();
-            if pending.is_empty() {
-                return Ok(pruned);
-            }
-            let batch: Vec<S::Share> = pending.iter().map(|(_, s)| s.clone()).collect();
-            match self.scheme.verify_shares_batch(&batch) {
-                Ok(()) => {
-                    self.stats.batch_verify_ok += 1;
-                    self.verified.extend(pending.iter().map(|(id, _)| *id));
-                    return Ok(pruned);
-                }
-                Err(SchemeError::InvalidShare { party }) => {
-                    let id = PartyId(party);
-                    self.shares.remove(&id);
-                    self.stats.shares_pruned += 1;
-                    pruned.push(id);
-                    // Loop: re-batch the remainder (bisection already
-                    // localized this failure; others may still be bad).
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    /// Drops `party`'s share and excludes it for the rest of the instance.
+    fn exclude(&mut self, party: PartyId) {
+        self.shares.remove(&party);
+        self.verified.remove(&party);
+        self.excluded.insert(party);
     }
 }
 
@@ -232,69 +146,40 @@ impl<S: OneRoundScheme> ThresholdRoundProtocol for OneRoundProtocol<S> {
     fn update(&mut self, message: &InboundMessage) -> Result<(), SchemeError> {
         let share = self.scheme.decode_share(&message.payload)?;
         let claimed = S::share_party(&share);
-        if claimed != message.sender {
+        if claimed != message.sender || self.excluded.contains(&claimed) {
             return Err(SchemeError::InvalidShare { party: message.sender.value() });
         }
-        match self.mode {
-            Mode::Eager => {
+        if self.verified.contains(&claimed) {
+            // Already settled for this party (e.g. P2P re-delivery).
+            return Ok(());
+        }
+        if let Some(existing) = self.shares.get(&claimed) {
+            // A verdict for this party is still outstanding. A
+            // re-delivery of the *same* share re-enqueues its check
+            // (self-healing if the earlier verdict was dropped), but a
+            // *different* share is rejected: only one share version per
+            // party may be in flight, so verdicts are never ambiguous
+            // about which share they refer to.
+            if S::encode_share(existing) != message.payload {
+                return Err(SchemeError::InvalidShare { party: claimed.value() });
+            }
+        }
+        match self.scheme.pending_check(&share) {
+            Some(check) => {
+                self.shares.insert(claimed, share);
+                self.outbox.push((claimed, check));
+            }
+            None => {
                 self.stats.eager_verifies += 1;
                 if !self.scheme.verify_share(&share) {
+                    self.exclude(claimed);
                     return Err(SchemeError::InvalidShare { party: claimed.value() });
                 }
                 self.shares.insert(claimed, share);
                 self.verified.insert(claimed);
-                Ok(())
-            }
-            Mode::Lazy => {
-                // Store unchecked; once a quorum of candidates exists,
-                // settle all pending shares with one batched verification
-                // and prune the invalid ones.
-                self.shares.insert(claimed, share);
-                if self.shares.len() >= self.scheme.quorum() {
-                    let pruned = self.settle_pending()?;
-                    if pruned.contains(&claimed) {
-                        return Err(SchemeError::InvalidShare { party: claimed.value() });
-                    }
-                }
-                Ok(())
-            }
-            Mode::Pooled => {
-                if self.verified.contains(&claimed) {
-                    // Already settled for this party (e.g. P2P re-delivery).
-                    return Ok(());
-                }
-                if let Some(existing) = self.shares.get(&claimed) {
-                    // A verdict for this party is still outstanding. A
-                    // re-delivery of the *same* share re-enqueues its
-                    // check (self-healing if the earlier verdict was
-                    // dropped), but a *different* share is rejected:
-                    // only one share version per party may be in flight,
-                    // so verdicts are never ambiguous about which share
-                    // they refer to.
-                    if S::encode_share(existing) != message.payload {
-                        return Err(SchemeError::InvalidShare { party: claimed.value() });
-                    }
-                }
-                match self.scheme.pending_check(&share) {
-                    Some(check) => {
-                        self.shares.insert(claimed, share);
-                        self.outbox.push((claimed, check));
-                        Ok(())
-                    }
-                    None => {
-                        // No batchable check for this scheme: verify
-                        // inline, as in eager mode.
-                        self.stats.eager_verifies += 1;
-                        if !self.scheme.verify_share(&share) {
-                            return Err(SchemeError::InvalidShare { party: claimed.value() });
-                        }
-                        self.shares.insert(claimed, share);
-                        self.verified.insert(claimed);
-                        Ok(())
-                    }
-                }
             }
         }
+        Ok(())
     }
 
     fn is_ready_for_next_round(&self) -> bool {
@@ -303,44 +188,24 @@ impl<S: OneRoundScheme> ThresholdRoundProtocol for OneRoundProtocol<S> {
     }
 
     fn is_ready_to_finalize(&self) -> bool {
-        if self.finished || self.round != 1 {
-            return false;
-        }
-        match self.mode {
-            // Pooled: only settled (verified) shares count — unsettled
-            // shares may yet be pruned by their batch verdict.
-            Mode::Pooled => self.verified.len() >= self.scheme.quorum(),
-            _ => self.shares.len() >= self.scheme.quorum(),
-        }
+        // Only verified shares count: unsettled ones may yet fail.
+        !self.finished && self.round == 1 && self.verified.len() >= self.scheme.quorum()
     }
 
     fn finalize(&mut self) -> Result<ProtocolOutput, SchemeError> {
         if !self.is_ready_to_finalize() {
-            let have = match self.mode {
-                Mode::Pooled => self.verified.len(),
-                _ => self.shares.len(),
-            };
-            return Err(SchemeError::NotEnoughShares { have, need: self.scheme.quorum() });
+            return Err(SchemeError::NotEnoughShares {
+                have: self.verified.len(),
+                need: self.scheme.quorum(),
+            });
         }
-        let out = match self.mode {
-            Mode::Pooled => {
-                // Every verified share passed its cross-instance batch
-                // check individually, so combine skips re-verification:
-                // the pipelined-combine payoff — at quorum only the
-                // Lagrange MSM (and any final output check) remains.
-                let shares: Vec<S::Share> = self
-                    .shares
-                    .iter()
-                    .filter(|(id, _)| self.verified.contains(id))
-                    .map(|(_, s)| s.clone())
-                    .collect();
-                self.scheme.combine_preverified(&shares)?
-            }
-            _ => {
-                let shares: Vec<S::Share> = self.shares.values().cloned().collect();
-                self.scheme.combine(&shares)?
-            }
-        };
+        let shares: Vec<S::Share> = self
+            .shares
+            .iter()
+            .filter(|(id, _)| self.verified.contains(id))
+            .map(|(_, s)| s.clone())
+            .collect();
+        let out = self.scheme.combine(&shares)?;
         self.finished = true;
         Ok(out)
     }
@@ -363,8 +228,9 @@ impl<S: OneRoundScheme> ThresholdRoundProtocol for OneRoundProtocol<S> {
 
     fn resolve_checks(&mut self, verdicts: &[(PartyId, bool)]) {
         for (party, ok) in verdicts {
-            // The share may have been pruned (or never stored) since the
-            // check was enqueued; such verdicts are stale — ignore them.
+            // No share held means the verdict is stale: the party was
+            // excluded (or never sent a share) since its check was
+            // enqueued.
             if !self.shares.contains_key(party) {
                 continue;
             }
@@ -373,8 +239,7 @@ impl<S: OneRoundScheme> ThresholdRoundProtocol for OneRoundProtocol<S> {
                     self.stats.cross_batched += 1;
                 }
             } else {
-                self.shares.remove(party);
-                self.verified.remove(party);
+                self.exclude(*party);
                 self.stats.shares_pruned += 1;
             }
         }
@@ -418,10 +283,6 @@ impl OneRoundScheme for Sg02Decrypt {
         sg02::verify_decryption_share(self.key.public(), &self.ciphertext, share)
     }
 
-    fn verify_shares_batch(&self, shares: &[Self::Share]) -> Result<(), SchemeError> {
-        sg02::verify_decryption_shares_batch(self.key.public(), &self.ciphertext, shares)
-    }
-
     fn share_party(share: &Self::Share) -> PartyId {
         share.id()
     }
@@ -434,15 +295,11 @@ impl OneRoundScheme for Sg02Decrypt {
         theta_codec::Decode::decoded(bytes).map_err(|e| SchemeError::Malformed(e.to_string()))
     }
 
-    fn combine(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
-        sg02::combine(self.key.public(), &self.ciphertext, shares).map(ProtocolOutput::Plaintext)
-    }
-
     fn pending_check(&self, share: &Self::Share) -> Option<PendingCheck> {
         Some(sg02::pending_check(self.key.public(), &self.ciphertext, share))
     }
 
-    fn combine_preverified(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
+    fn combine(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
         sg02::combine_preverified(self.key.public(), &self.ciphertext, shares)
             .map(ProtocolOutput::Plaintext)
     }
@@ -480,10 +337,6 @@ impl OneRoundScheme for Bz03Decrypt {
         bz03::verify_decryption_share(self.key.public(), &self.ciphertext, share)
     }
 
-    fn verify_shares_batch(&self, shares: &[Self::Share]) -> Result<(), SchemeError> {
-        bz03::verify_decryption_shares_batch(self.key.public(), &self.ciphertext, shares)
-    }
-
     fn share_party(share: &Self::Share) -> PartyId {
         share.id()
     }
@@ -496,15 +349,11 @@ impl OneRoundScheme for Bz03Decrypt {
         theta_codec::Decode::decoded(bytes).map_err(|e| SchemeError::Malformed(e.to_string()))
     }
 
-    fn combine(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
-        bz03::combine(self.key.public(), &self.ciphertext, shares).map(ProtocolOutput::Plaintext)
-    }
-
     fn pending_check(&self, share: &Self::Share) -> Option<PendingCheck> {
         Some(bz03::pending_check(self.key.public(), &self.ciphertext, share))
     }
 
-    fn combine_preverified(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
+    fn combine(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
         bz03::combine_preverified(self.key.public(), &self.ciphertext, shares)
             .map(ProtocolOutput::Plaintext)
     }
@@ -540,10 +389,6 @@ impl OneRoundScheme for Sh00Sign {
 
     fn verify_share(&self, share: &Self::Share) -> bool {
         sh00::verify_share(self.key.public(), &self.message, share)
-    }
-
-    fn verify_shares_batch(&self, shares: &[Self::Share]) -> Result<(), SchemeError> {
-        sh00::verify_shares_batch(self.key.public(), &self.message, shares)
     }
 
     fn share_party(share: &Self::Share) -> PartyId {
@@ -599,10 +444,6 @@ impl OneRoundScheme for Bls04Sign {
         bls04::verify_share(self.key.public(), &self.message, share)
     }
 
-    fn verify_shares_batch(&self, shares: &[Self::Share]) -> Result<(), SchemeError> {
-        bls04::verify_shares_batch(self.key.public(), &self.message, shares)
-    }
-
     fn share_party(share: &Self::Share) -> PartyId {
         share.id()
     }
@@ -615,11 +456,6 @@ impl OneRoundScheme for Bls04Sign {
         theta_codec::Decode::decoded(bytes).map_err(|e| SchemeError::Malformed(e.to_string()))
     }
 
-    fn combine(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
-        bls04::combine(self.key.public(), &self.message, shares)
-            .map(|sig| ProtocolOutput::Signature(theta_codec::Encode::encoded(&sig)))
-    }
-
     fn pending_check(&self, share: &Self::Share) -> Option<PendingCheck> {
         match self.hashed.get_or_init(|| bls04::hash_message(&self.message).ok()) {
             Some(h) => Some(bls04::pending_check_with_hash(self.key.public(), h, share)),
@@ -629,7 +465,7 @@ impl OneRoundScheme for Bls04Sign {
         }
     }
 
-    fn combine_preverified(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
+    fn combine(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
         bls04::combine_preverified(self.key.public(), &self.message, shares)
             .map(|sig| ProtocolOutput::Signature(theta_codec::Encode::encoded(&sig)))
     }
@@ -667,10 +503,6 @@ impl OneRoundScheme for Cks05Coin {
         cks05::verify_coin_share(self.key.public(), &self.name, share)
     }
 
-    fn verify_shares_batch(&self, shares: &[Self::Share]) -> Result<(), SchemeError> {
-        cks05::verify_coin_shares_batch(self.key.public(), &self.name, shares)
-    }
-
     fn share_party(share: &Self::Share) -> PartyId {
         share.id()
     }
@@ -683,15 +515,11 @@ impl OneRoundScheme for Cks05Coin {
         theta_codec::Decode::decoded(bytes).map_err(|e| SchemeError::Malformed(e.to_string()))
     }
 
-    fn combine(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
-        cks05::combine(self.key.public(), &self.name, shares).map(ProtocolOutput::Coin)
-    }
-
     fn pending_check(&self, share: &Self::Share) -> Option<PendingCheck> {
         Some(cks05::pending_check(self.key.public(), &self.name, share))
     }
 
-    fn combine_preverified(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
+    fn combine(&self, shares: &[Self::Share]) -> Result<ProtocolOutput, SchemeError> {
         cks05::combine_preverified(self.key.public(), &self.name, shares).map(ProtocolOutput::Coin)
     }
 }
@@ -706,8 +534,27 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(0x0c0)
     }
 
+    /// A round-1 message from `sender` carrying `share`.
+    fn share_msg<T: theta_codec::Encode>(sender: PartyId, share: &T) -> InboundMessage {
+        InboundMessage { sender, round: 1, payload: theta_codec::Encode::encoded(share) }
+    }
+
+    /// Settles an instance's outbox the way the orchestration layer
+    /// does: drain the detached checks, settle them as one batch, feed
+    /// the verdicts back. Returns the number of verdicts delivered.
+    fn settle_outbox<S: OneRoundScheme>(p: &mut OneRoundProtocol<S>) -> usize {
+        let pending = p.take_pending_checks();
+        let checks: Vec<&PendingCheck> = pending.iter().map(|(_, c)| c).collect();
+        let verdicts = theta_schemes::batch::settle_mixed(&checks);
+        let resolved: Vec<(PartyId, bool)> =
+            pending.iter().zip(verdicts.iter()).map(|((id, _), ok)| (*id, *ok)).collect();
+        p.resolve_checks(&resolved);
+        resolved.len()
+    }
+
     /// Runs a set of one-round TRI instances to completion by exchanging
-    /// their messages all-to-all; returns each node's output.
+    /// their messages all-to-all, settling each receiver's outbox after
+    /// every delivery; returns each node's output.
     fn run_all<S: OneRoundScheme>(
         mut protocols: Vec<OneRoundProtocol<S>>,
         r: &mut rand::rngs::StdRng,
@@ -728,6 +575,7 @@ mod tests {
                             payload: msg.payload.clone(),
                         })
                         .unwrap();
+                        settle_outbox(p);
                     }
                 }
             }
@@ -749,11 +597,27 @@ mod tests {
         let ct = theta_schemes::sg02::encrypt(&pk, b"label", b"tri plaintext", &mut r);
         let protos: Vec<_> = keys
             .into_iter()
-            .map(|k| OneRoundProtocol::new(Sg02Decrypt::new(k, ct.clone())))
+            .map(|k| OneRoundProtocol::new_pooled(Sg02Decrypt::new(k, ct.clone())))
             .collect();
         let outputs = run_all(protos, &mut r);
         for out in outputs {
             assert_eq!(out, ProtocolOutput::Plaintext(b"tri plaintext".to_vec()));
+        }
+    }
+
+    #[test]
+    fn bz03_protocol_all_nodes_agree() {
+        let mut r = rng();
+        let params = ThresholdParams::new(1, 4).unwrap();
+        let (pk, keys) = theta_schemes::bz03::keygen(params, &mut r);
+        let ct = theta_schemes::bz03::encrypt(&pk, b"label", b"bz03 plaintext", &mut r);
+        let protos: Vec<_> = keys
+            .into_iter()
+            .map(|k| OneRoundProtocol::new_pooled(Bz03Decrypt::new(k, ct.clone())))
+            .collect();
+        let outputs = run_all(protos, &mut r);
+        for out in outputs {
+            assert_eq!(out, ProtocolOutput::Plaintext(b"bz03 plaintext".to_vec()));
         }
     }
 
@@ -764,7 +628,7 @@ mod tests {
         let (pk, keys) = theta_schemes::bls04::keygen(params, &mut r);
         let protos: Vec<_> = keys
             .into_iter()
-            .map(|k| OneRoundProtocol::new(Bls04Sign::new(k, b"msg".to_vec())))
+            .map(|k| OneRoundProtocol::new_pooled(Bls04Sign::new(k, b"msg".to_vec())))
             .collect();
         let outputs = run_all(protos, &mut r);
         let first = outputs[0].clone();
@@ -772,8 +636,8 @@ mod tests {
             assert_eq!(*out, first);
         }
         if let ProtocolOutput::Signature(bytes) = first {
-            let sig = <theta_schemes::bls04::Signature as theta_codec::Decode>::decoded(&bytes)
-                .unwrap();
+            let sig =
+                <theta_schemes::bls04::Signature as theta_codec::Decode>::decoded(&bytes).unwrap();
             assert!(theta_schemes::bls04::verify(&pk, b"msg", &sig));
         } else {
             panic!("expected signature output");
@@ -787,7 +651,7 @@ mod tests {
         let (_pk, keys) = theta_schemes::cks05::keygen(params, &mut r);
         let protos: Vec<_> = keys
             .into_iter()
-            .map(|k| OneRoundProtocol::new(Cks05Coin::new(k, b"epoch-9".to_vec())))
+            .map(|k| OneRoundProtocol::new_pooled(Cks05Coin::new(k, b"epoch-9".to_vec())))
             .collect();
         let outputs = run_all(protos, &mut r);
         let first = outputs[0].clone();
@@ -802,19 +666,15 @@ mod tests {
         let params = ThresholdParams::new(2, 7).unwrap();
         let (pk, keys) = theta_schemes::sg02::keygen(params, &mut r);
         let ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
-        let mut me = OneRoundProtocol::new(Sg02Decrypt::new(keys[0].clone(), ct.clone()));
+        let mut me = OneRoundProtocol::new_pooled(Sg02Decrypt::new(keys[0].clone(), ct.clone()));
         let _ = me.do_round(&mut r).unwrap();
         assert!(!me.is_ready_to_finalize()); // 1 of 3
-        // Receive shares from parties 2 and 3 only.
+                                             // Receive shares from parties 2 and 3 only.
         for k in &keys[1..3] {
             let share = theta_schemes::sg02::create_decryption_share(k, &ct, &mut r).unwrap();
-            me.update(&InboundMessage {
-                sender: k.id(),
-                round: 1,
-                payload: theta_codec::Encode::encoded(&share),
-            })
-            .unwrap();
+            me.update(&share_msg(k.id(), &share)).unwrap();
         }
+        settle_outbox(&mut me);
         assert!(me.is_ready_to_finalize());
         assert_eq!(me.finalize().unwrap(), ProtocolOutput::Plaintext(b"m".to_vec()));
     }
@@ -825,7 +685,7 @@ mod tests {
         let params = ThresholdParams::new(1, 4).unwrap();
         let (pk, keys) = theta_schemes::sg02::keygen(params, &mut r);
         let ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
-        let mut me = OneRoundProtocol::new(Sg02Decrypt::new(keys[0].clone(), ct.clone()));
+        let mut me = OneRoundProtocol::new_pooled(Sg02Decrypt::new(keys[0].clone(), ct.clone()));
         let _ = me.do_round(&mut r).unwrap();
         // Garbage payload.
         assert!(me
@@ -833,110 +693,13 @@ mod tests {
             .is_err());
         // Mis-attributed (valid share from 3 claimed as from 2).
         let share3 = theta_schemes::sg02::create_decryption_share(&keys[2], &ct, &mut r).unwrap();
-        assert!(me
-            .update(&InboundMessage {
-                sender: PartyId(2),
-                round: 1,
-                payload: theta_codec::Encode::encoded(&share3),
-            })
-            .is_err());
+        assert!(me.update(&share_msg(PartyId(2), &share3)).is_err());
         assert_eq!(me.share_count(), 1);
         // The honest share still lands and completes the instance.
-        me.update(&InboundMessage {
-            sender: PartyId(3),
-            round: 1,
-            payload: theta_codec::Encode::encoded(&share3),
-        })
-        .unwrap();
+        me.update(&share_msg(PartyId(3), &share3)).unwrap();
+        settle_outbox(&mut me);
         assert!(me.is_ready_to_finalize());
         assert_eq!(me.finalize().unwrap(), ProtocolOutput::Plaintext(b"m".to_vec()));
-    }
-
-    #[test]
-    fn lazy_mode_agrees_with_eager() {
-        let mut r = rng();
-        let params = ThresholdParams::new(2, 7).unwrap();
-        let (pk, keys) = theta_schemes::sg02::keygen(params, &mut r);
-        let ct = theta_schemes::sg02::encrypt(&pk, b"label", b"lazy batch", &mut r);
-        let protos: Vec<_> = keys
-            .into_iter()
-            .map(|k| OneRoundProtocol::new_lazy(Sg02Decrypt::new(k, ct.clone())))
-            .collect();
-        let outputs = run_all(protos, &mut r);
-        for out in outputs {
-            assert_eq!(out, ProtocolOutput::Plaintext(b"lazy batch".to_vec()));
-        }
-    }
-
-    #[test]
-    fn lazy_mode_prunes_bad_share_at_quorum_and_recovers() {
-        let mut r = rng();
-        let params = ThresholdParams::new(2, 7).unwrap();
-        let (pk, keys) = theta_schemes::sg02::keygen(params, &mut r);
-        let ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
-        let mut me = OneRoundProtocol::new_lazy(Sg02Decrypt::new(keys[0].clone(), ct.clone()));
-        let _ = me.do_round(&mut r).unwrap();
-        // A forged share: a valid share from party 2 for a *different*
-        // ciphertext decodes fine but fails verification.
-        let other_ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
-        let forged =
-            theta_schemes::sg02::create_decryption_share(&keys[1], &other_ct, &mut r).unwrap();
-        // Below quorum, the forged share is stored unverified.
-        me.update(&InboundMessage {
-            sender: keys[1].id(),
-            round: 1,
-            payload: theta_codec::Encode::encoded(&forged),
-        })
-        .unwrap();
-        assert_eq!(me.share_count(), 2);
-        assert!(!me.is_ready_to_finalize());
-        // The third share triggers batch settlement: the forged share is
-        // pruned (reported against party 2), count drops below quorum.
-        let honest =
-            theta_schemes::sg02::create_decryption_share(&keys[2], &ct, &mut r).unwrap();
-        me.update(&InboundMessage {
-            sender: keys[2].id(),
-            round: 1,
-            payload: theta_codec::Encode::encoded(&honest),
-        })
-        .unwrap();
-        assert_eq!(me.share_count(), 2);
-        assert!(!me.is_ready_to_finalize());
-        // One more honest share completes the quorum.
-        let honest2 =
-            theta_schemes::sg02::create_decryption_share(&keys[3], &ct, &mut r).unwrap();
-        me.update(&InboundMessage {
-            sender: keys[3].id(),
-            round: 1,
-            payload: theta_codec::Encode::encoded(&honest2),
-        })
-        .unwrap();
-        assert!(me.is_ready_to_finalize());
-        assert_eq!(me.finalize().unwrap(), ProtocolOutput::Plaintext(b"m".to_vec()));
-    }
-
-    #[test]
-    fn lazy_mode_rejects_bad_share_arriving_at_quorum() {
-        let mut r = rng();
-        let params = ThresholdParams::new(1, 4).unwrap();
-        let (pk, keys) = theta_schemes::sg02::keygen(params, &mut r);
-        let ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
-        let mut me = OneRoundProtocol::new_lazy(Sg02Decrypt::new(keys[0].clone(), ct.clone()));
-        let _ = me.do_round(&mut r).unwrap();
-        let other_ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
-        let forged =
-            theta_schemes::sg02::create_decryption_share(&keys[1], &other_ct, &mut r).unwrap();
-        // Quorum is 2, so this arrival triggers settlement immediately and
-        // the error names the sender.
-        assert!(matches!(
-            me.update(&InboundMessage {
-                sender: keys[1].id(),
-                round: 1,
-                payload: theta_codec::Encode::encoded(&forged),
-            }),
-            Err(SchemeError::InvalidShare { party: 2 })
-        ));
-        assert!(!me.is_ready_to_finalize());
     }
 
     #[test]
@@ -945,64 +708,42 @@ mod tests {
         let params = ThresholdParams::new(2, 7).unwrap();
         let (pk, keys) = theta_schemes::sg02::keygen(params, &mut r);
         let ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
-        let mut me = OneRoundProtocol::new_lazy(Sg02Decrypt::new(keys[0].clone(), ct.clone()));
+        let mut me = OneRoundProtocol::new_pooled(Sg02Decrypt::new(keys[0].clone(), ct.clone()));
         let _ = me.do_round(&mut r).unwrap();
         let other_ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
         let forged =
             theta_schemes::sg02::create_decryption_share(&keys[1], &other_ct, &mut r).unwrap();
-        me.update(&InboundMessage {
-            sender: keys[1].id(),
-            round: 1,
-            payload: theta_codec::Encode::encoded(&forged),
-        })
-        .unwrap();
+        me.update(&share_msg(keys[1].id(), &forged)).unwrap();
         for k in &keys[2..4] {
             let share = theta_schemes::sg02::create_decryption_share(k, &ct, &mut r).unwrap();
-            let _ = me.update(&InboundMessage {
-                sender: k.id(),
-                round: 1,
-                payload: theta_codec::Encode::encoded(&share),
-            });
+            me.update(&share_msg(k.id(), &share)).unwrap();
         }
+        assert_eq!(settle_outbox(&mut me), 3);
         let stats = me.stats();
         assert_eq!(stats.shares_pruned, 1, "the forged share must be pruned");
-        assert!(stats.batch_verify_ok >= 1, "the honest remainder batch-verifies");
-        assert_eq!(stats.eager_verifies, 0, "lazy mode never verifies eagerly");
+        assert_eq!(stats.cross_batched, 2, "the honest remainder batch-verifies");
+        assert_eq!(stats.eager_verifies, 0, "batchable schemes never verify inline");
 
-        // Eager mode counts per-share checks instead.
-        let mut eager = OneRoundProtocol::new(Sg02Decrypt::new(keys[4].clone(), ct.clone()));
-        let _ = eager.do_round(&mut r).unwrap();
-        let share = theta_schemes::sg02::create_decryption_share(&keys[5], &ct, &mut r).unwrap();
-        eager
-            .update(&InboundMessage {
-                sender: keys[5].id(),
-                round: 1,
-                payload: theta_codec::Encode::encoded(&share),
-            })
-            .unwrap();
-        let stats = eager.stats();
-        assert_eq!(stats.eager_verifies, 1);
-        assert_eq!(stats.batch_verify_ok, 0);
-    }
-
-    /// Drives a pooled instance the way the orchestration layer does:
-    /// deliver, drain the outbox, settle the checks, feed verdicts back.
-    fn settle_outbox<S: OneRoundScheme>(p: &mut OneRoundProtocol<S>) -> usize {
-        let pending = p.take_pending_checks();
-        let checks: Vec<&theta_schemes::batch::PendingCheck> =
-            pending.iter().map(|(_, c)| c).collect();
-        let verdicts = theta_schemes::batch::settle_mixed(&checks);
-        let resolved: Vec<(PartyId, bool)> = pending
-            .iter()
-            .zip(verdicts.iter())
-            .map(|((id, _), ok)| (*id, *ok))
-            .collect();
-        p.resolve_checks(&resolved);
-        resolved.len()
+        // SH00 has no detachable check: it counts per-share inline
+        // checks instead, and a failing one excludes its sender too.
+        let (_spk, skeys) =
+            theta_schemes::sh00::keygen(ThresholdParams::new(1, 4).unwrap(), 256, &mut r).unwrap();
+        let mut sh = OneRoundProtocol::new_pooled(Sh00Sign::new(skeys[0].clone(), b"m".to_vec()));
+        let _ = sh.do_round(&mut r).unwrap();
+        let bad = theta_schemes::sh00::sign_share(&skeys[1], b"other", &mut r);
+        assert!(sh.update(&share_msg(skeys[1].id(), &bad)).is_err());
+        let good = theta_schemes::sh00::sign_share(&skeys[1], b"m", &mut r);
+        assert!(sh.update(&share_msg(skeys[1].id(), &good)).is_err());
+        assert_eq!(sh.stats().eager_verifies, 1);
+        let good = theta_schemes::sh00::sign_share(&skeys[2], b"m", &mut r);
+        sh.update(&share_msg(skeys[2].id(), &good)).unwrap();
+        assert_eq!(sh.stats().eager_verifies, 2);
+        assert!(sh.take_pending_checks().is_empty());
+        assert!(sh.is_ready_to_finalize());
     }
 
     #[test]
-    fn pooled_mode_agrees_with_eager_for_every_batchable_scheme() {
+    fn pooled_mode_matches_verifying_combine_for_every_batchable_scheme() {
         let mut r = rng();
         let params = ThresholdParams::new(1, 4).unwrap();
 
@@ -1013,12 +754,7 @@ mod tests {
         let _ = me.do_round(&mut r).unwrap();
         for k in &keys[1..3] {
             let share = theta_schemes::sg02::create_decryption_share(k, &ct, &mut r).unwrap();
-            me.update(&InboundMessage {
-                sender: k.id(),
-                round: 1,
-                payload: theta_codec::Encode::encoded(&share),
-            })
-            .unwrap();
+            me.update(&share_msg(k.id(), &share)).unwrap();
         }
         // Shares are held but unverified: quorum only counts verdicts.
         assert_eq!(me.share_count(), 3);
@@ -1029,48 +765,55 @@ mod tests {
         assert_eq!(me.stats().cross_batched, 2);
         assert_eq!(me.stats().eager_verifies, 0);
 
-        // BLS04 signing (pairing checks ride the same outbox).
+        // BZ03 decryption (pairing checks ride the same outbox).
+        let (zpk, zkeys) = theta_schemes::bz03::keygen(params, &mut r);
+        let zct = theta_schemes::bz03::encrypt(&zpk, b"label", b"bz03", &mut r);
+        let mut me = OneRoundProtocol::new_pooled(Bz03Decrypt::new(zkeys[0].clone(), zct.clone()));
+        let _ = me.do_round(&mut r).unwrap();
+        let zshares: Vec<_> = zkeys[1..3]
+            .iter()
+            .map(|k| theta_schemes::bz03::create_decryption_share(k, &zct).unwrap())
+            .collect();
+        for share in &zshares {
+            me.update(&share_msg(share.id(), share)).unwrap();
+        }
+        assert!(!me.is_ready_to_finalize());
+        settle_outbox(&mut me);
+        let expected = theta_schemes::bz03::combine(&zpk, &zct, &zshares).unwrap();
+        assert_eq!(me.finalize().unwrap(), ProtocolOutput::Plaintext(expected));
+
+        // BLS04 signing.
         let (bpk, bkeys) = theta_schemes::bls04::keygen(params, &mut r);
         let mut me = OneRoundProtocol::new_pooled(Bls04Sign::new(bkeys[0].clone(), b"m".to_vec()));
         let _ = me.do_round(&mut r).unwrap();
-        for k in &bkeys[1..3] {
-            let share = theta_schemes::bls04::sign_share(k, b"m").unwrap();
-            me.update(&InboundMessage {
-                sender: k.id(),
-                round: 1,
-                payload: theta_codec::Encode::encoded(&share),
-            })
-            .unwrap();
+        let bshares: Vec<_> =
+            bkeys.iter().map(|k| theta_schemes::bls04::sign_share(k, b"m").unwrap()).collect();
+        for share in &bshares[1..3] {
+            me.update(&share_msg(share.id(), share)).unwrap();
         }
         assert!(!me.is_ready_to_finalize());
         settle_outbox(&mut me);
         assert!(me.is_ready_to_finalize());
-        let out = me.finalize().unwrap();
-        if let ProtocolOutput::Signature(bytes) = out {
-            let sig =
-                <theta_schemes::bls04::Signature as theta_codec::Decode>::decoded(&bytes).unwrap();
-            assert!(theta_schemes::bls04::verify(&bpk, b"m", &sig));
-        } else {
-            panic!("expected signature output");
-        }
+        let expected = theta_schemes::bls04::combine(&bpk, b"m", &bshares[..3]).unwrap();
+        assert_eq!(
+            me.finalize().unwrap(),
+            ProtocolOutput::Signature(theta_codec::Encode::encoded(&expected))
+        );
 
-        // CKS05 coin: pooled agrees with an eager run of the same coin.
-        let (_cpk, ckeys) = theta_schemes::cks05::keygen(params, &mut r);
-        let mut pooled =
-            OneRoundProtocol::new_pooled(Cks05Coin::new(ckeys[0].clone(), b"c".to_vec()));
-        let mut eager = OneRoundProtocol::new(Cks05Coin::new(ckeys[1].clone(), b"c".to_vec()));
-        let _ = pooled.do_round(&mut r).unwrap();
-        let _ = eager.do_round(&mut r).unwrap();
-        for k in &ckeys[2..4] {
-            let share = theta_schemes::cks05::create_coin_share(k, b"c", &mut r);
-            let payload = theta_codec::Encode::encoded(&share);
-            pooled
-                .update(&InboundMessage { sender: k.id(), round: 1, payload: payload.clone() })
-                .unwrap();
-            eager.update(&InboundMessage { sender: k.id(), round: 1, payload }).unwrap();
+        // CKS05 coin.
+        let (cpk, ckeys) = theta_schemes::cks05::keygen(params, &mut r);
+        let mut me = OneRoundProtocol::new_pooled(Cks05Coin::new(ckeys[0].clone(), b"c".to_vec()));
+        let _ = me.do_round(&mut r).unwrap();
+        let cshares: Vec<_> = ckeys[2..4]
+            .iter()
+            .map(|k| theta_schemes::cks05::create_coin_share(k, b"c", &mut r))
+            .collect();
+        for share in &cshares {
+            me.update(&share_msg(share.id(), share)).unwrap();
         }
-        settle_outbox(&mut pooled);
-        assert_eq!(pooled.finalize().unwrap(), eager.finalize().unwrap());
+        settle_outbox(&mut me);
+        let expected = theta_schemes::cks05::combine(&cpk, b"c", &cshares).unwrap();
+        assert_eq!(me.finalize().unwrap(), ProtocolOutput::Coin(expected));
     }
 
     #[test]
@@ -1081,22 +824,14 @@ mod tests {
         let ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
         let mut me = OneRoundProtocol::new_pooled(Sg02Decrypt::new(keys[0].clone(), ct.clone()));
         let _ = me.do_round(&mut r).unwrap();
+        // A forged share: a valid share from party 2 for a *different*
+        // ciphertext decodes fine but fails verification.
         let other_ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
         let forged =
             theta_schemes::sg02::create_decryption_share(&keys[1], &other_ct, &mut r).unwrap();
-        me.update(&InboundMessage {
-            sender: keys[1].id(),
-            round: 1,
-            payload: theta_codec::Encode::encoded(&forged),
-        })
-        .unwrap();
+        me.update(&share_msg(keys[1].id(), &forged)).unwrap();
         let honest = theta_schemes::sg02::create_decryption_share(&keys[2], &ct, &mut r).unwrap();
-        me.update(&InboundMessage {
-            sender: keys[2].id(),
-            round: 1,
-            payload: theta_codec::Encode::encoded(&honest),
-        })
-        .unwrap();
+        me.update(&share_msg(keys[2].id(), &honest)).unwrap();
         settle_outbox(&mut me);
         // The forged share was pruned by its verdict; the honest one
         // verified. 2 of 3 needed.
@@ -1104,18 +839,64 @@ mod tests {
         assert!(!me.is_ready_to_finalize());
         assert_eq!(me.stats().shares_pruned, 1);
         assert_eq!(me.stats().cross_batched, 1);
-        // A replacement honest share from the pruned party is accepted
-        // (its verdict slot is free again) and completes the quorum.
+        // The pruned party is excluded: even a valid replacement share
+        // from it is rejected and enqueues no check.
         let honest1 = theta_schemes::sg02::create_decryption_share(&keys[1], &ct, &mut r).unwrap();
-        me.update(&InboundMessage {
-            sender: keys[1].id(),
-            round: 1,
-            payload: theta_codec::Encode::encoded(&honest1),
-        })
-        .unwrap();
+        assert!(matches!(
+            me.update(&share_msg(keys[1].id(), &honest1)),
+            Err(SchemeError::InvalidShare { party: 2 })
+        ));
+        assert!(me.take_pending_checks().is_empty());
+        // An honest share from another party recovers the quorum.
+        let honest3 = theta_schemes::sg02::create_decryption_share(&keys[3], &ct, &mut r).unwrap();
+        me.update(&share_msg(keys[3].id(), &honest3)).unwrap();
         settle_outbox(&mut me);
         assert!(me.is_ready_to_finalize());
         assert_eq!(me.finalize().unwrap(), ProtocolOutput::Plaintext(b"m".to_vec()));
+    }
+
+    /// A verdict is keyed by party only, so it must never land on a share
+    /// other than the one it checked. Byzantine party 2 sends forged F,
+    /// F again, its honest H, then F: the late `true` verdict for H must
+    /// not mark the re-stored F verified.
+    #[test]
+    fn stale_verdict_cannot_verify_forged_share() {
+        let mut r = rng();
+        let params = ThresholdParams::new(1, 4).unwrap();
+        let (pk, keys) = theta_schemes::cks05::keygen(params, &mut r);
+        let mut me = OneRoundProtocol::new_pooled(Cks05Coin::new(keys[0].clone(), b"c".to_vec()));
+        let _ = me.do_round(&mut r).unwrap();
+        let forged = share_msg(
+            keys[1].id(),
+            &theta_schemes::cks05::create_coin_share(&keys[1], b"x", &mut r),
+        );
+        let honest = share_msg(
+            keys[1].id(),
+            &theta_schemes::cks05::create_coin_share(&keys[1], b"c", &mut r),
+        );
+        let verdict =
+            |p: &mut OneRoundProtocol<Cks05Coin>, ok: bool| p.resolve_checks(&[(PartyId(2), ok)]);
+
+        me.update(&forged).unwrap(); // 1. check cF1 enqueued
+        me.update(&forged).unwrap(); // 2. check cF2 enqueued
+        verdict(&mut me, false); // 3. cF1 settles false
+        let _ = me.update(&honest); // 4. H delivered
+        verdict(&mut me, false); // 5. stale cF2 settles false
+        let _ = me.update(&forged); // 6. F delivered again
+        verdict(&mut me, true); // 7. H's verdict settles true
+        assert!(!me.is_ready_to_finalize(), "a stale verdict verified a forged share");
+        assert_eq!(me.stats().cross_batched, 0);
+
+        // An honest third party completes the coin every node agrees on.
+        let share3 = theta_schemes::cks05::create_coin_share(&keys[2], b"c", &mut r);
+        me.update(&share_msg(keys[2].id(), &share3)).unwrap();
+        settle_outbox(&mut me);
+        let honest_shares = [
+            theta_schemes::cks05::create_coin_share(&keys[2], b"c", &mut r),
+            theta_schemes::cks05::create_coin_share(&keys[3], b"c", &mut r),
+        ];
+        let expected = theta_schemes::cks05::combine(&pk, b"c", &honest_shares).unwrap();
+        assert_eq!(me.finalize().unwrap(), ProtocolOutput::Coin(expected));
     }
 
     #[test]
@@ -1220,7 +1001,7 @@ mod tests {
         let mut r = rng();
         let params = ThresholdParams::new(0, 1).unwrap();
         let (_pk, keys) = theta_schemes::cks05::keygen(params, &mut r);
-        let mut p = OneRoundProtocol::new(Cks05Coin::new(keys[0].clone(), b"c".to_vec()));
+        let mut p = OneRoundProtocol::new_pooled(Cks05Coin::new(keys[0].clone(), b"c".to_vec()));
         let _ = p.do_round(&mut r).unwrap();
         assert!(p.do_round(&mut r).is_err());
     }
@@ -1230,11 +1011,8 @@ mod tests {
         let mut r = rng();
         let params = ThresholdParams::new(1, 4).unwrap();
         let (_pk, keys) = theta_schemes::cks05::keygen(params, &mut r);
-        let mut p = OneRoundProtocol::new(Cks05Coin::new(keys[0].clone(), b"c".to_vec()));
+        let mut p = OneRoundProtocol::new_pooled(Cks05Coin::new(keys[0].clone(), b"c".to_vec()));
         let _ = p.do_round(&mut r).unwrap();
-        assert!(matches!(
-            p.finalize(),
-            Err(SchemeError::NotEnoughShares { have: 1, need: 2 })
-        ));
+        assert!(matches!(p.finalize(), Err(SchemeError::NotEnoughShares { have: 1, need: 2 })));
     }
 }

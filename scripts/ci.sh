@@ -6,65 +6,74 @@
 # lint, Miri/TSan) lives in scripts/analysis.sh and runs as its own CI
 # job; pass --with-analysis to chain it here locally.
 #
+# Every step runs even when an earlier one fails, so one host-sensitive
+# gate cannot hide the rest; the failed steps are listed at the end and
+# the script exits non-zero if there were any.
+#
 # Usage: scripts/ci.sh [--no-clippy] [--with-analysis]
-set -euo pipefail
+set -uo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== cargo build --release =="
-cargo build --release
+failed=()
 
-echo
-echo "== cargo test (workspace) =="
-cargo test --workspace -q
+# step <title> <command...>: runs one gate and records it if it fails.
+step() {
+    local title=$1
+    shift
+    echo
+    echo "== $title =="
+    if ! "$@"; then
+        failed+=("$title")
+    fi
+}
 
-echo
-echo "== saturation stress test (release, full 64+ request mix) =="
-RUST_BACKTRACE=1 cargo test -q --release --test stress_concurrency
+step "cargo build --release" \
+    cargo build --release
 
-echo
-echo "== gossip overlay integration (release, 20 nodes, partition + tamper) =="
-RUST_BACKTRACE=1 cargo test -q --release --test integration_gossip
+step "cargo test (workspace)" \
+    cargo test --workspace -q
 
-echo
-echo "== mailbox handoff interleaving harness (release, repeated runs) =="
-RUST_BACKTRACE=1 cargo test -q --release -p theta-orchestration \
-    handoff_interleaving_never_loses_messages
+step "saturation stress test (release, full 64+ request mix)" \
+    env RUST_BACKTRACE=1 cargo test -q --release --test stress_concurrency
 
-echo
-echo "== cross-instance batch verify smoke (release, >=1.5x gate) =="
-cargo run -q --release -p theta-bench --bin bench_cross_batch -- --quick
+step "gossip overlay integration (release, 20 nodes, partition + tamper)" \
+    env RUST_BACKTRACE=1 cargo test -q --release --test integration_gossip
 
-echo
-echo "== pairing kernel gate (release, shared projective multi-Miller loop >=2x the affine reference on 4 pairs) =="
-cargo run -q --release -p theta-bench --bin bench_kernels -- --quick
+step "mailbox handoff interleaving harness (release, repeated runs)" \
+    env RUST_BACKTRACE=1 cargo test -q --release -p theta-orchestration \
+        handoff_interleaving_never_loses_messages
 
-echo
-echo "== worker-pool scaling smoke (release; asserts 2-worker >= 1.5x when host_cores >= 2, records skip otherwise) =="
-cargo run -q --release -p theta-bench --bin bench_parallel -- --quick
+step "cross-instance batch verify smoke (release, >=1.5x gate)" \
+    cargo run -q --release -p theta-bench --bin bench_cross_batch -- --quick
 
-echo
-echo "== observability overhead gate (tracing + profiler < 5% on the hot path, quick) =="
-cargo run -q --release -p theta-bench --bin bench_observability -- --quick --gate
+step "pairing kernel gate (release, shared projective multi-Miller loop >=2x the affine reference on 4 pairs)" \
+    cargo run -q --release -p theta-bench --bin bench_kernels -- --quick
 
-echo
-echo "== front-end C10k gate (>=5k idle connections, flat threads, p99 delta < 10%) =="
-cargo run -q --release -p theta-bench --bin bench_frontend -- --quick --gate
+step "worker-pool scaling smoke (release; asserts 2-worker >= 1.5x when host_cores >= 2, records skip otherwise)" \
+    cargo run -q --release -p theta-bench --bin bench_parallel -- --quick
+
+step "observability overhead gate (tracing + profiler < 5% on the hot path, quick)" \
+    cargo run -q --release -p theta-bench --bin bench_observability -- --quick --gate
+
+step "front-end C10k gate (>=5k idle connections, flat threads, p99 delta < 10%)" \
+    cargo run -q --release -p theta-bench --bin bench_frontend -- --quick --gate
 
 if [[ " $* " != *" --no-clippy "* ]] && cargo clippy --version >/dev/null 2>&1; then
-    echo
-    echo "== cargo clippy -D warnings (workspace) =="
-    cargo clippy --workspace -- -D warnings
+    step "cargo clippy -D warnings (workspace)" cargo clippy --workspace -- -D warnings
 else
     echo
     echo "== clippy skipped =="
 fi
 
 if [[ " $* " == *" --with-analysis "* ]]; then
-    echo
-    echo "== analysis gate (loom, lint, proptest, miri/tsan) =="
-    scripts/analysis.sh
+    step "analysis gate (loom, lint, proptest, miri/tsan)" scripts/analysis.sh
 fi
 
 echo
+if ((${#failed[@]})); then
+    echo "CI gate FAILED: ${#failed[@]} step(s) failed:"
+    printf '  - %s\n' "${failed[@]}"
+    exit 1
+fi
 echo "CI gate passed."
