@@ -855,6 +855,43 @@ mod tests {
         assert_eq!(me.finalize().unwrap(), ProtocolOutput::Plaintext(b"m".to_vec()));
     }
 
+    /// A forged share that fills a candidate quorum while its check is
+    /// still detached must not let the instance finalize: settling the
+    /// batch prunes it, the count drops below quorum, and one more honest
+    /// share recovers. (The name predates the removal of the separate
+    /// lazy mode; the pooled path now owns this behaviour.)
+    #[test]
+    fn lazy_mode_prunes_bad_share_at_quorum_and_recovers() {
+        let mut r = rng();
+        let params = ThresholdParams::new(2, 7).unwrap();
+        let (pk, keys) = theta_schemes::sg02::keygen(params, &mut r);
+        let ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
+        let mut me = OneRoundProtocol::new_pooled(Sg02Decrypt::new(keys[0].clone(), ct.clone()));
+        let _ = me.do_round(&mut r).unwrap();
+        let other_ct = theta_schemes::sg02::encrypt(&pk, b"l", b"m", &mut r);
+        let forged =
+            theta_schemes::sg02::create_decryption_share(&keys[1], &other_ct, &mut r).unwrap();
+        me.update(&share_msg(keys[1].id(), &forged)).unwrap();
+        let honest = theta_schemes::sg02::create_decryption_share(&keys[2], &ct, &mut r).unwrap();
+        me.update(&share_msg(keys[2].id(), &honest)).unwrap();
+        // Three shares stored, two of them unverified: a candidate quorum
+        // that is not yet ready.
+        assert_eq!(me.share_count(), 3);
+        assert!(!me.is_ready_to_finalize());
+        assert_eq!(settle_outbox(&mut me), 2);
+        // The forged share was pruned; the count drops below quorum.
+        assert_eq!(me.share_count(), 2);
+        assert!(!me.is_ready_to_finalize());
+        assert_eq!(me.stats().shares_pruned, 1);
+        // One more honest share completes the quorum.
+        let honest2 = theta_schemes::sg02::create_decryption_share(&keys[3], &ct, &mut r).unwrap();
+        me.update(&share_msg(keys[3].id(), &honest2)).unwrap();
+        assert!(!me.is_ready_to_finalize());
+        settle_outbox(&mut me);
+        assert!(me.is_ready_to_finalize());
+        assert_eq!(me.finalize().unwrap(), ProtocolOutput::Plaintext(b"m".to_vec()));
+    }
+
     /// A verdict is keyed by party only, so it must never land on a share
     /// other than the one it checked. Byzantine party 2 sends forged F,
     /// F again, its honest H, then F: the late `true` verdict for H must
