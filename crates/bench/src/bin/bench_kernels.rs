@@ -2,14 +2,15 @@
 //! it replaced and records the speedups in `BENCH_kernels.json` at the
 //! repository root.
 //!
-//! The pairs mirror `benches/kernels.rs`; this binary exists so the
-//! numbers land in a machine-readable artifact (consumed by DESIGN.md
-//! and the smoke script) rather than only in Criterion's console
-//! output. `--quick` or `CRITERION_QUICK=1` shrinks the measurement
-//! budget for CI smoke runs and only prints the table, so the committed
-//! full-run `BENCH_kernels.json` is left alone. Every run fails when the
-//! pairing product kernel (`pairing/multi4`) is under 2x faster than the
-//! affine reference loop.
+//! Most pairs mirror `benches/kernels.rs`; `kg20/node4` times one
+//! node's KG20 signing work with and without a shared signing set. This
+//! binary exists so the numbers land in a machine-readable artifact
+//! (consumed by DESIGN.md and the smoke script) rather than only in
+//! Criterion's console output. `--quick` or `CRITERION_QUICK=1` shrinks
+//! the measurement budget for CI smoke runs and only prints the table,
+//! so the committed full-run `BENCH_kernels.json` is left alone. Every
+//! run fails when the pairing product kernel (`pairing/multi4`) is under
+//! 2x faster than the affine reference loop.
 
 use rand::SeedableRng;
 use std::io::Write;
@@ -45,6 +46,17 @@ fn measure<O>(budget: Duration, mut f: impl FnMut() -> O) -> f64 {
         }
     }
     start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Mean nanoseconds per call of `f`, called once on each input (for
+/// work that consumes its input, such as a single-use nonce).
+fn measure_each<I, O>(inputs: Vec<I>, mut f: impl FnMut(I) -> O) -> f64 {
+    let count = inputs.len();
+    let start = Instant::now();
+    for input in inputs {
+        std::hint::black_box(f(input));
+    }
+    start.elapsed().as_nanos() as f64 / count as f64
 }
 
 fn main() {
@@ -232,6 +244,56 @@ fn main() {
                 sg02::combine_serial_baseline(&pk, &ct, &shares).unwrap()
             }),
             new_ns: measure(budget, || sg02::combine(&pk, &ct, &shares).unwrap()),
+        });
+    }
+
+    // One node's KG20 work at n = 4 (sign, three verifies, combine):
+    // the per-call free functions, each deriving the signing set again,
+    // vs one `SigningSet` per instance. A nonce signs once, so every
+    // call gets its own prepared instance.
+    {
+        use theta_schemes::kg20::{self, NonceCommitment, SignatureShare, SigningNonce, SigningSet};
+        let params4 = ThresholdParams::new(1, 4).unwrap();
+        let (pk, keys) = kg20::keygen(params4, &mut r);
+        let instances = if quick() { 6 } else { 30 };
+        let mut prepare = || -> Vec<(SigningNonce, Vec<NonceCommitment>, Vec<SignatureShare>)> {
+            (0..instances)
+                .map(|_| {
+                    let mut nonces: Vec<SigningNonce> =
+                        keys.iter().map(|k| kg20::generate_nonce(k, &mut r)).collect();
+                    let commits: Vec<NonceCommitment> =
+                        nonces.iter().map(|n| n.commitment().clone()).collect();
+                    let set = SigningSet::new(&pk, &msg, &commits).unwrap();
+                    let remote = keys[1..]
+                        .iter()
+                        .zip(nonces.drain(1..))
+                        .map(|(k, n)| set.sign_share(k, n).unwrap())
+                        .collect();
+                    (nonces.pop().unwrap(), commits, remote)
+                })
+                .collect()
+        };
+        let old_inputs = prepare();
+        let new_inputs = prepare();
+        pairs.push(Pair {
+            name: "kg20/node4",
+            old_ns: measure_each(old_inputs, |(nonce, commits, mut shares)| {
+                let own = kg20::sign_share(&keys[0], nonce, &msg, &commits).unwrap();
+                for s in &shares {
+                    assert!(kg20::verify_share(&pk, &msg, &commits, s));
+                }
+                shares.push(own);
+                kg20::combine(&pk, &msg, &commits, &shares).unwrap()
+            }),
+            new_ns: measure_each(new_inputs, |(nonce, commits, mut shares)| {
+                let set = SigningSet::new(&pk, &msg, &commits).unwrap();
+                let own = set.sign_share(&keys[0], nonce).unwrap();
+                for s in &shares {
+                    assert!(set.verify_share(&pk, s));
+                }
+                shares.push(own);
+                set.combine_preverified(&shares).unwrap()
+            }),
         });
     }
 

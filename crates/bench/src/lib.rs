@@ -93,11 +93,13 @@ pub fn print_cost_model(m: &CostModel) {
     }
     let k = m.kg20;
     println!(
-        "  kg20    r1 {:>6.0}  r2 {:>6.0}+{:>4.0}/member  verify {:>6.0}",
+        "  kg20    r1 {:>6.0}  r2 {:>6.0}+{:>4.0}/member  verify {:>6.0}  combine {:>6.0}+{:>4.0}/share",
         us(k.round1),
         us(k.round2_fixed),
         us(k.round2_per_member),
-        us(k.verify)
+        us(k.verify),
+        us(k.combine_fixed),
+        us(k.combine_per_share)
     );
 }
 

@@ -10,17 +10,24 @@
 //! `n` parties (as in the paper's evaluation), which is why KG20 waits
 //! for everyone and is not robust: any misbehaviour aborts the run.
 //!
+//! The signing set ([`SigningSet`]) is derived once, at the round-1 →
+//! round-2 transition, from the first commitment each party delivered;
+//! every response is verified against it before it counts, and
+//! finalization combines the verified responses without re-verifying.
+//!
 //! With a precomputed nonce ([`Kg20Sign::with_precomputed_nonce`]) round
 //! 1 still exchanges the commitments but needs no fresh randomness —
 //! the paper's preprocessing mode.
 
 use crate::{
-    InboundMessage, OutboundMessage, ProtocolOutput, RoundOutput, ThresholdRoundProtocol,
-    Transport,
+    InboundMessage, OutboundMessage, ProtocolOutput, ProtocolStats, RoundOutput,
+    ThresholdRoundProtocol, Transport,
 };
 use std::collections::BTreeMap;
 use theta_codec::{Decode, Encode};
-use theta_schemes::kg20::{self, KeyShare, NonceCommitment, SignatureShare, SigningNonce};
+use theta_schemes::kg20::{
+    self, KeyShare, NonceCommitment, SignatureShare, SigningNonce, SigningSet,
+};
 use theta_schemes::{PartyId, SchemeError};
 
 /// TRI state machine for KG20 threshold Schnorr signing.
@@ -29,8 +36,14 @@ pub struct Kg20Sign {
     message: Vec<u8>,
     round: u16,
     nonce: Option<SigningNonce>,
+    /// The first commitment each party delivered; later ones never
+    /// replace it.
     commitments: BTreeMap<PartyId, NonceCommitment>,
+    /// Derived once from `commitments` when round 2 starts.
+    set: Option<SigningSet>,
+    /// Verified responses (our own is trusted).
     shares: BTreeMap<PartyId, SignatureShare>,
+    stats: ProtocolStats,
     /// Set when a party misbehaved; FROST aborts.
     aborted_by: Option<PartyId>,
     finished: bool,
@@ -46,7 +59,9 @@ impl Kg20Sign {
             round: 0,
             nonce: None,
             commitments: BTreeMap::new(),
+            set: None,
             shares: BTreeMap::new(),
+            stats: ProtocolStats::default(),
             aborted_by: None,
             finished: false,
         }
@@ -63,10 +78,6 @@ impl Kg20Sign {
     /// The fixed signing group size (all `n` parties).
     fn group_size(&self) -> usize {
         self.key.public().params().n() as usize
-    }
-
-    fn commitment_list(&self) -> Vec<NonceCommitment> {
-        self.commitments.values().cloned().collect()
     }
 
     /// The party that caused an abort, if any.
@@ -107,10 +118,13 @@ impl ThresholdRoundProtocol for Kg20Sign {
                     .nonce
                     .take()
                     .ok_or_else(|| SchemeError::InvalidParameters("nonce consumed".into()))?;
-                let commitments = self.commitment_list();
-                let share = kg20::sign_share(&self.key, nonce, &self.message, &commitments)?;
+                let commitments: Vec<NonceCommitment> =
+                    self.commitments.values().cloned().collect();
+                let set = SigningSet::new(self.key.public(), &self.message, &commitments)?;
+                let share = set.sign_share(&self.key, nonce)?;
                 let payload = share.encoded();
                 self.shares.insert(self.key.id(), share);
+                self.set = Some(set);
                 Ok(RoundOutput {
                     messages: vec![OutboundMessage {
                         transport: Transport::P2p,
@@ -136,8 +150,18 @@ impl ThresholdRoundProtocol for Kg20Sign {
                 {
                     return Err(SchemeError::InvalidShareSet("party outside group".into()));
                 }
-                self.commitments.insert(commitment.id(), commitment);
-                Ok(())
+                // First commitment wins. TOB delivers the same order to
+                // every node, so honest nodes keep the same one; a later,
+                // differing commitment would otherwise rewrite the
+                // signing set that responses are checked against.
+                match self.commitments.get(&commitment.id()) {
+                    None => {
+                        self.commitments.insert(commitment.id(), commitment);
+                        Ok(())
+                    }
+                    Some(held) if *held == commitment => Ok(()),
+                    Some(_) => Err(SchemeError::InvalidShare { party: message.sender.value() }),
+                }
             }
             2 => {
                 let share = SignatureShare::decoded(&message.payload)
@@ -146,8 +170,23 @@ impl ThresholdRoundProtocol for Kg20Sign {
                     self.aborted_by = Some(message.sender);
                     return Err(SchemeError::InvalidShare { party: message.sender.value() });
                 }
-                let commitments = self.commitment_list();
-                if !kg20::verify_share(self.key.public(), &self.message, &commitments, &share) {
+                if let Some(held) = self.shares.get(&share.id()) {
+                    // A re-delivery (P2P retry) is already verified. Only
+                    // one response verifies under the set, so a differing
+                    // one is invalid; it never replaces the held one.
+                    return if *held == share {
+                        Ok(())
+                    } else {
+                        Err(SchemeError::InvalidShare { party: share.id().value() })
+                    };
+                }
+                let Some(set) = &self.set else {
+                    return Err(SchemeError::InvalidParameters(
+                        "response before the signing set is fixed".into(),
+                    ));
+                };
+                self.stats.eager_verifies += 1;
+                if !set.verify_share(self.key.public(), &share) {
                     // Non-robust: a bad response dooms this run.
                     self.aborted_by = Some(share.id());
                     return Err(SchemeError::InvalidShare { party: share.id().value() });
@@ -183,9 +222,12 @@ impl ThresholdRoundProtocol for Kg20Sign {
                 need: self.group_size(),
             });
         }
-        let commitments = self.commitment_list();
+        let set = self
+            .set
+            .as_ref()
+            .ok_or_else(|| SchemeError::InvalidParameters("signing set not fixed".into()))?;
         let shares: Vec<SignatureShare> = self.shares.values().cloned().collect();
-        let sig = kg20::combine(self.key.public(), &self.message, &commitments, &shares)?;
+        let sig = set.combine_preverified(&shares)?;
         self.finished = true;
         Ok(ProtocolOutput::Signature(sig.encoded()))
     }
@@ -196,6 +238,10 @@ impl ThresholdRoundProtocol for Kg20Sign {
 
     fn party(&self) -> PartyId {
         self.key.id()
+    }
+
+    fn stats(&self) -> ProtocolStats {
+        self.stats
     }
 }
 
@@ -341,6 +387,87 @@ mod tests {
         // error, not a signature — instead of idling until timeout.
         assert!(protos[0].is_ready_to_finalize());
         assert!(protos[0].finalize().is_err());
+    }
+
+    fn assert_signs(p: &mut Kg20Sign, pk: &kg20::PublicKey) {
+        assert!(p.is_ready_to_finalize());
+        match p.finalize().unwrap() {
+            ProtocolOutput::Signature(bytes) => {
+                let sig = <kg20::Signature as Decode>::decoded(&bytes).unwrap();
+                assert!(kg20::verify(pk, b"m", &sig));
+            }
+            other => panic!("expected signature, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn late_differing_commitment_cannot_rewrite_signing_set() {
+        let mut r = rng();
+        let params = ThresholdParams::new(1, 4).unwrap();
+        let (pk, keys) = kg20::keygen(params, &mut r);
+        let mut protos: Vec<Kg20Sign> =
+            keys.iter().map(|k| Kg20Sign::new(k.clone(), b"m".to_vec())).collect();
+        broadcast_round(&mut protos, &mut r);
+        let responses: Vec<(PartyId, RoundOutput)> = protos
+            .iter_mut()
+            .map(|p| (p.party(), p.do_round(&mut r).unwrap()))
+            .collect();
+        // Party 2 TOB-submits a second, different commitment; party 1 is
+        // already in round 2 and still receives round-1 messages.
+        let second = kg20::generate_nonce(&keys[1], &mut r).commitment().encoded();
+        let equivocation = InboundMessage { sender: PartyId(2), round: 1, payload: second };
+        assert!(matches!(
+            protos[0].update(&equivocation),
+            Err(SchemeError::InvalidShare { party: 2 })
+        ));
+        // The first commitment again is a harmless no-op.
+        let first = protos[0].commitments[&PartyId(2)].encoded();
+        protos[0]
+            .update(&InboundMessage { sender: PartyId(2), round: 1, payload: first })
+            .unwrap();
+        // Every honest response still verifies against the original set.
+        for (sender, out) in &responses[1..] {
+            protos[0]
+                .update(&InboundMessage {
+                    sender: *sender,
+                    round: 2,
+                    payload: out.messages[0].payload.clone(),
+                })
+                .unwrap();
+        }
+        assert_eq!(protos[0].aborted_by(), None);
+        assert_signs(&mut protos[0], &pk);
+    }
+
+    #[test]
+    fn redelivered_response_is_not_verified_again() {
+        let mut r = rng();
+        let params = ThresholdParams::new(1, 4).unwrap();
+        let (pk, keys) = kg20::keygen(params, &mut r);
+        let mut protos: Vec<Kg20Sign> =
+            keys.into_iter().map(|k| Kg20Sign::new(k, b"m".to_vec())).collect();
+        broadcast_round(&mut protos, &mut r);
+        let responses = broadcast_round(&mut protos, &mut r);
+        assert_eq!(protos[0].stats().eager_verifies, 3, "one check per remote response");
+        // A P2P retry of party 2's response: accepted, not re-verified.
+        let (sender2, out2) = &responses[1];
+        let retry =
+            InboundMessage { sender: *sender2, round: 2, payload: out2.messages[0].payload.clone() };
+        protos[0].update(&retry).unwrap();
+        assert_eq!(protos[0].stats().eager_verifies, 3);
+        // A differing response from party 3, whose response is held, is
+        // rejected without replacing it (nor aborting the run).
+        let (sender3, out3) = &responses[2];
+        let mut differing = out3.messages[0].payload.clone();
+        let low = differing.len() - 32;
+        differing[low] ^= 1;
+        assert!(matches!(
+            protos[0].update(&InboundMessage { sender: *sender3, round: 2, payload: differing }),
+            Err(SchemeError::InvalidShare { party: 3 })
+        ));
+        assert_eq!(protos[0].stats().eager_verifies, 3);
+        assert_eq!(protos[0].aborted_by(), None);
+        assert_signs(&mut protos[0], &pk);
     }
 
     #[test]

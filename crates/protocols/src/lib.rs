@@ -118,8 +118,8 @@ impl ProtocolOutput {
 pub struct ProtocolStats {
     /// Shares dropped because their cross-instance check failed.
     pub shares_pruned: u64,
-    /// Per-share inline verifications (schemes without a detachable
-    /// check, i.e. SH00).
+    /// Per-share inline verifications (shares without a detachable
+    /// check: SH00 shares and KG20 responses).
     pub eager_verifies: u64,
     /// Shares verified by a cross-instance batch settle.
     pub cross_batched: u64,

@@ -12,6 +12,16 @@
 //!    `ρ_i = H(i, m, B)`, the group nonce `R = Π D_j·E_j^{ρ_j}`, the
 //!    challenge `c = H(R, Y, m)` and responds `z_i = d_i + e_i·ρ_i + λ_i·x_i·c`.
 //!
+//! Everything round 2 derives from the commitment list — the binding
+//! factors, each signer's binding term `B_j = D_j·E_j^{ρ_j}`, `R` and
+//! `c` — is derived **once per signing instance** into a [`SigningSet`].
+//! Signing under it is scalar arithmetic, verifying a response costs one
+//! base and one variable-base multiplication, and combining responses
+//! that were already verified is one Schnorr check. The free functions
+//! [`sign_share`], [`verify_share`] and [`combine`] build a set per call
+//! (and `combine` verifies every response), for callers holding only
+//! the commitment list.
+//!
 //! FROST is deliberately **not robust**: the signing set is fixed by the
 //! commitment list, so a misbehaving signer aborts the run (tested below)
 //! rather than being excluded.
@@ -37,7 +47,7 @@
 //! assert!(kg20::verify(&pk, b"msg", &sig));
 //! ```
 
-use crate::common::{lagrange_at_zero, shamir_share, PartyId, ThresholdParams};
+use crate::common::{lagrange_coeffs_at_zero, shamir_share, PartyId, ThresholdParams};
 use crate::error::SchemeError;
 use crate::hashing::hash_to_ed25519_scalar;
 use crate::wire::{get_point, get_scalar, put_point, put_scalar};
@@ -335,16 +345,6 @@ fn binding_factor(id: PartyId, message: &[u8], commitment_bytes: &[u8]) -> Scala
     )
 }
 
-fn group_nonce(message: &[u8], commitments: &[NonceCommitment]) -> Point {
-    let bytes = encode_commitment_list(commitments);
-    let mut r = Point::identity();
-    for c in commitments {
-        let rho = binding_factor(c.id, message, &bytes);
-        r = r.add(&c.d_big).add(&c.e_big.mul(&rho));
-    }
-    r
-}
-
 fn challenge(r: &Point, y: &Point, message: &[u8]) -> Scalar {
     hash_to_ed25519_scalar(D_CHALLENGE, &[&r.compress(), &y.compress(), message])
 }
@@ -376,7 +376,161 @@ fn validate_signer_set(
     Ok(ids)
 }
 
+/// One signer of a [`SigningSet`] and the values every party derives
+/// identically for it from the commitment list.
+struct Member {
+    commitment: NonceCommitment,
+    lambda: Scalar,
+    rho: Scalar,
+    /// The binding term `B_j = D_j · E_j^{ρ_j}`.
+    binding: Point,
+}
+
+/// Everything round 2 derives from `(pk, message, commitments)`: the
+/// validated signers with their Lagrange coefficients `λ_j`, binding
+/// factors `ρ_j` and binding terms `B_j = D_j·E_j^{ρ_j}`, the group nonce
+/// `R = Σ B_j` and the challenge `c = H(R, Y, m)`.
+///
+/// Building it costs one variable-base multiplication per signer; after
+/// that signing is scalar arithmetic, verifying a response is one base
+/// and one variable-base multiplication, and combining verified
+/// responses is one Schnorr check.
+pub struct SigningSet {
+    members: Vec<Member>,
+    y: Point,
+    r: Point,
+    c: Scalar,
+}
+
+impl SigningSet {
+    /// Derives the signing set of `message` under `commitments`.
+    ///
+    /// # Errors
+    ///
+    /// - [`SchemeError::InvalidShareSet`] for a party outside `1..=n` or
+    ///   a duplicate commitment.
+    /// - [`SchemeError::NotEnoughShares`] when the set is below quorum.
+    pub fn new(
+        pk: &PublicKey,
+        message: &[u8],
+        commitments: &[NonceCommitment],
+    ) -> Result<SigningSet, SchemeError> {
+        let ids = validate_signer_set(pk.params, commitments)?;
+        let lambdas = lagrange_coeffs_at_zero::<Scalar>(&ids)?;
+        let bytes = encode_commitment_list(commitments);
+        let mut r = Point::identity();
+        let members = commitments
+            .iter()
+            .zip(lambdas)
+            .map(|(commitment, lambda)| {
+                let rho = binding_factor(commitment.id, message, &bytes);
+                let binding = commitment.d_big.add(&commitment.e_big.mul(&rho));
+                r = r.add(&binding);
+                Member { commitment: commitment.clone(), lambda, rho, binding }
+            })
+            .collect();
+        let c = challenge(&r, &pk.y, message);
+        Ok(SigningSet { members, y: pk.y, r, c })
+    }
+
+    fn member(&self, party: PartyId) -> Option<&Member> {
+        self.members.iter().find(|m| m.commitment.id == party)
+    }
+
+    /// True when `party` committed to this set.
+    pub fn contains(&self, party: PartyId) -> bool {
+        self.member(party).is_some()
+    }
+
+    /// Round 2: this party's response `z_i = d_i + e_i·ρ_i + λ_i·x_i·c`.
+    /// Consumes (and so wipes) the nonce.
+    ///
+    /// # Errors
+    ///
+    /// [`SchemeError::InvalidShareSet`] when this party's commitment is
+    /// missing from the set or is not the nonce's.
+    pub fn sign_share(
+        &self,
+        key: &KeyShare,
+        nonce: SigningNonce,
+    ) -> Result<SignatureShare, SchemeError> {
+        let own = self
+            .member(key.id)
+            .ok_or_else(|| SchemeError::InvalidShareSet("own commitment missing".into()))?;
+        if own.commitment != nonce.commitment {
+            return Err(SchemeError::InvalidShareSet(
+                "commitment list does not contain this nonce".into(),
+            ));
+        }
+        let z_i = nonce
+            .d
+            .add(&nonce.e.mul(&own.rho))
+            .add(&own.lambda.mul(&key.x_i).mul(&self.c));
+        Ok(SignatureShare { id: key.id, z_i })
+    }
+
+    /// Verifies a response from a member of the set:
+    /// `g^{z_i} == B_i · Y_i^{λ_i·c}`. `pk` must be the key the set was
+    /// built under.
+    pub fn verify_share(&self, pk: &PublicKey, share: &SignatureShare) -> bool {
+        let (Some(member), Some(vk)) = (self.member(share.id), pk.verification_key(share.id))
+        else {
+            return false;
+        };
+        Point::mul_base(&share.z_i) == member.binding.add(&vk.mul(&member.lambda.mul(&self.c)))
+    }
+
+    /// Aggregates responses that were **already verified** with
+    /// [`Self::verify_share`] into a Schnorr signature: sums the `z_i`
+    /// and checks the result like [`verify`].
+    ///
+    /// # Errors
+    ///
+    /// - [`SchemeError::InvalidShareSet`] unless there is exactly one
+    ///   response per member.
+    /// - [`SchemeError::InvalidSignature`] if the aggregate fails (cannot
+    ///   happen when every response verified).
+    pub fn combine_preverified(&self, shares: &[SignatureShare]) -> Result<Signature, SchemeError> {
+        self.check_responses(shares)?;
+        let z = shares.iter().fold(Scalar::zero(), |z, share| z.add(&share.z_i));
+        let sig = Signature { r: self.r, z };
+        if !schnorr_holds(&sig, &self.y, &self.c) {
+            return Err(SchemeError::InvalidSignature);
+        }
+        Ok(sig)
+    }
+
+    /// FROST requires exactly one response from *every* committed signer.
+    fn check_responses(&self, shares: &[SignatureShare]) -> Result<(), SchemeError> {
+        if shares.len() != self.members.len() {
+            return Err(SchemeError::InvalidShareSet(format!(
+                "{} responses for {} commitments",
+                shares.len(),
+                self.members.len()
+            )));
+        }
+        let mut seen = std::collections::HashSet::new();
+        for share in shares {
+            if !self.contains(share.id) {
+                return Err(SchemeError::InvalidShareSet(format!(
+                    "response from non-committed party {}",
+                    share.id.value()
+                )));
+            }
+            if !seen.insert(share.id) {
+                return Err(SchemeError::InvalidShareSet(format!(
+                    "duplicate response from party {}",
+                    share.id.value()
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Round 2: produces this party's response. Consumes the nonce.
+/// Derives the signing set afresh; a caller that signs, verifies and
+/// combines under one set builds a [`SigningSet`] once instead.
 ///
 /// # Errors
 ///
@@ -389,60 +543,24 @@ pub fn sign_share(
     message: &[u8],
     commitments: &[NonceCommitment],
 ) -> Result<SignatureShare, SchemeError> {
-    let ids = validate_signer_set(key.public.params, commitments)?;
-    let own = commitments
-        .iter()
-        .find(|c| c.id == key.id)
-        .ok_or_else(|| SchemeError::InvalidShareSet("own commitment missing".into()))?;
-    if *own != nonce.commitment {
-        return Err(SchemeError::InvalidShareSet(
-            "commitment list does not contain this nonce".into(),
-        ));
-    }
-    let bytes = encode_commitment_list(commitments);
-    let rho_i = binding_factor(key.id, message, &bytes);
-    let r = group_nonce(message, commitments);
-    let c = challenge(&r, &key.public.y, message);
-    let lambda_i = lagrange_at_zero::<Scalar>(key.id, &ids)?;
-    let z_i = nonce.d.add(&nonce.e.mul(&rho_i)).add(&lambda_i.mul(&key.x_i).mul(&c));
-    Ok(SignatureShare { id: key.id, z_i })
+    SigningSet::new(&key.public, message, commitments)?.sign_share(key, nonce)
 }
 
 /// Verifies a round-2 response against the signing set:
-/// `g^{z_i} == D_i · E_i^{ρ_i} · Y_i^{λ_i·c}`.
+/// `g^{z_i} == D_i · E_i^{ρ_i} · Y_i^{λ_i·c}`. Derives the signing set
+/// afresh (see [`SigningSet::verify_share`]).
 pub fn verify_share(
     pk: &PublicKey,
     message: &[u8],
     commitments: &[NonceCommitment],
     share: &SignatureShare,
 ) -> bool {
-    let Ok(ids) = validate_signer_set(pk.params, commitments) else {
-        return false;
-    };
-    let Some(commit) = commitments.iter().find(|c| c.id == share.id) else {
-        return false;
-    };
-    let Some(vk) = pk.verification_key(share.id) else {
-        return false;
-    };
-    let Ok(lambda_i) = lagrange_at_zero::<Scalar>(share.id, &ids) else {
-        return false;
-    };
-    let bytes = encode_commitment_list(commitments);
-    let rho_i = binding_factor(share.id, message, &bytes);
-    let r = group_nonce(message, commitments);
-    let c = challenge(&r, &pk.y, message);
-    let lhs = Point::mul_base(&share.z_i);
-    let rhs = commit
-        .d_big
-        .add(&commit.e_big.mul(&rho_i))
-        .add(&vk.mul(&lambda_i.mul(&c)));
-    lhs == rhs
+    SigningSet::new(pk, message, commitments).is_ok_and(|set| set.verify_share(pk, share))
 }
 
-/// Aggregates responses into a Schnorr signature. **Aborts** (errors) on
-/// any invalid share — FROST is not robust; re-run with a new signing set
-/// after excluding the culprit.
+/// Verifies every response, then aggregates them into a Schnorr
+/// signature. **Aborts** (errors) on any invalid share — FROST is not
+/// robust; re-run with a new signing set after excluding the culprit.
 ///
 /// # Errors
 ///
@@ -457,42 +575,23 @@ pub fn combine(
     commitments: &[NonceCommitment],
     shares: &[SignatureShare],
 ) -> Result<Signature, SchemeError> {
-    validate_signer_set(pk.params, commitments)?;
-    // FROST requires a response from *every* committed signer.
-    if shares.len() != commitments.len() {
-        return Err(SchemeError::InvalidShareSet(format!(
-            "{} responses for {} commitments",
-            shares.len(),
-            commitments.len()
-        )));
-    }
+    let set = SigningSet::new(pk, message, commitments)?;
+    set.check_responses(shares)?;
     for share in shares {
-        if commitments.iter().all(|c| c.id != share.id) {
-            return Err(SchemeError::InvalidShareSet(format!(
-                "response from non-committed party {}",
-                share.id.value()
-            )));
-        }
-        if !verify_share(pk, message, commitments, share) {
+        if !set.verify_share(pk, share) {
             return Err(SchemeError::InvalidShare { party: share.id.value() });
         }
     }
-    let r = group_nonce(message, commitments);
-    let mut z = Scalar::zero();
-    for share in shares {
-        z = z.add(&share.z_i);
-    }
-    let sig = Signature { r, z };
-    if !verify(pk, message, &sig) {
-        return Err(SchemeError::InvalidSignature);
-    }
-    Ok(sig)
+    set.combine_preverified(shares)
 }
 
 /// Standard Schnorr verification: `g^z == R · Y^c`.
 pub fn verify(pk: &PublicKey, message: &[u8], sig: &Signature) -> bool {
-    let c = challenge(&sig.r, &pk.y, message);
-    Point::mul_base(&sig.z) == sig.r.add(&pk.y.mul(&c))
+    schnorr_holds(sig, &pk.y, &challenge(&sig.r, &pk.y, message))
+}
+
+fn schnorr_holds(sig: &Signature, y: &Point, c: &Scalar) -> bool {
+    Point::mul_base(&sig.z) == sig.r.add(&y.mul(c))
 }
 
 #[cfg(test)]

@@ -41,11 +41,11 @@ pub struct TwoRoundCost {
     pub round2_fixed: Duration,
     /// Round 2 signing: per group member (binding factors, group nonce).
     pub round2_per_member: Duration,
-    /// Verifying one response (with the group nonce cached).
+    /// Verifying one response against the instance's signing set.
     pub verify: Duration,
-    /// Aggregation: fixed part.
+    /// Aggregation of verified responses: fixed part.
     pub combine_fixed: Duration,
-    /// Aggregation: per response.
+    /// Aggregation of verified responses: per response.
     pub combine_per_share: Duration,
     /// Extra cost per payload byte.
     pub per_byte: Duration,
@@ -331,44 +331,61 @@ impl CostModel {
             let round1 = time_op(10, || {
                 let _ = kg20::generate_nonce(&keys[0], &mut rand::rngs::OsRng);
             });
-            // Round-2 signing at two group sizes for the linear fit.
+            // Round-2 signing (derive the signing set, sign) at two group
+            // sizes for the linear fit. A nonce signs once, so each timed
+            // call gets its own nonce and commitment list.
             let sign_at = |group: usize, rng: &mut rand::rngs::StdRng| {
+                let runs: Vec<_> = (0..6)
+                    .map(|_| {
+                        let mut nonces: Vec<_> = keys[..group]
+                            .iter()
+                            .map(|k| kg20::generate_nonce(k, rng))
+                            .collect();
+                        let commits: Vec<_> =
+                            nonces.iter().map(|n| n.commitment().clone()).collect();
+                        (nonces.swap_remove(0), commits)
+                    })
+                    .collect();
+                let calls = runs.len() as u32;
+                let start = Instant::now();
+                for (nonce0, commits) in runs {
+                    let _ = kg20::sign_share(&keys[0], nonce0, &payload, &commits).unwrap();
+                }
+                start.elapsed() / calls
+            };
+            let s3 = sign_at(3, &mut rng);
+            let s7 = sign_at(7, &mut rng);
+            let (round2_fixed, round2_per_member) = linear_fit(3, s3, 7, s7);
+            // A node derives the signing set once per instance, verifies
+            // each response against it, then combines the verified
+            // responses: time both against a prepared set, the combine at
+            // two group sizes for the linear fit.
+            let signed_set = |group: usize, rng: &mut rand::rngs::StdRng| {
                 let nonces: Vec<_> = keys[..group]
                     .iter()
                     .map(|k| kg20::generate_nonce(k, rng))
                     .collect();
                 let commits: Vec<_> = nonces.iter().map(|n| n.commitment().clone()).collect();
-                let start = Instant::now();
-                let nonce0 = kg20::generate_nonce(&keys[0], rng);
-                let mut commits0 = commits.clone();
-                commits0[0] = nonce0.commitment().clone();
-                let _ = kg20::sign_share(&keys[0], nonce0, &payload, &commits0).unwrap();
-                start.elapsed()
+                let set = kg20::SigningSet::new(&pk, &payload, &commits).unwrap();
+                let shares: Vec<_> = keys[..group]
+                    .iter()
+                    .zip(nonces)
+                    .map(|(k, n)| set.sign_share(k, n).unwrap())
+                    .collect();
+                (set, shares)
             };
-            let s3 = sign_at(3, &mut rng);
-            let s7 = sign_at(7, &mut rng);
-            let (round2_fixed, round2_per_member) = linear_fit(3, s3, 7, s7);
-            // Verify with an (assumed cached) group nonce ≈ three base
-            // multiplications ≈ the DLEQ verify cost of SG02.
-            let verify = sg02.verify;
-            // Aggregation: scalar additions + one Schnorr verification.
-            let nonces: Vec<_> = keys[..3]
-                .iter()
-                .map(|k| kg20::generate_nonce(k, &mut rng))
-                .collect();
-            let commits: Vec<_> = nonces.iter().map(|n| n.commitment().clone()).collect();
-            let shares: Vec<_> = keys[..3]
-                .iter()
-                .zip(nonces)
-                .map(|(k, n)| kg20::sign_share(k, n, &payload, &commits).unwrap())
-                .collect();
-            let combine_total = time_op(2, || {
-                let _ = kg20::combine(&pk, &payload, &commits, &shares).unwrap();
+            let (set3, shares3) = signed_set(3, &mut rng);
+            let (set7, shares7) = signed_set(7, &mut rng);
+            let verify = time_op(8, || {
+                assert!(set3.verify_share(&pk, &shares3[1]));
             });
-            // combine re-verifies each share (O(group) via group nonce);
-            // approximate the slope by the round-2 per-member cost.
-            let combine_per_share = round2_per_member;
-            let combine_fixed = combine_total.saturating_sub(combine_per_share * 3);
+            let c3 = time_op(6, || {
+                let _ = set3.combine_preverified(&shares3).unwrap();
+            });
+            let c7 = time_op(6, || {
+                let _ = set7.combine_preverified(&shares7).unwrap();
+            });
+            let (combine_fixed, combine_per_share) = linear_fit(3, c3, 7, c7);
             TwoRoundCost {
                 round1,
                 round2_fixed,
@@ -402,14 +419,8 @@ impl CostModel {
             sh00: strip(self.sh00),
             bls04: strip(self.bls04),
             cks05: strip(self.cks05),
-            kg20: TwoRoundCost {
-                verify: Duration::ZERO,
-                combine_per_share: self
-                    .kg20
-                    .combine_per_share
-                    .saturating_sub(self.kg20.verify),
-                ..self.kg20
-            },
+            // KG20's combine takes responses already verified.
+            kg20: TwoRoundCost { verify: Duration::ZERO, ..self.kg20 },
         }
     }
 

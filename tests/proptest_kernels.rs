@@ -5,7 +5,8 @@
 //! share verifies individually (with bisection naming the first culprit)
 //! under either grouping of the cross-instance pairing product, and the
 //! optimised combine paths produce the same results as the serial
-//! baselines they replaced.
+//! baselines they replaced, and a KG20 signing set derived once accepts
+//! exactly the honest responses and agrees with the per-call functions.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -306,6 +307,117 @@ proptest! {
         prop_assert_eq!(pairing_check(&b1, &a2, &a1, &b2), expect);
         if balanced {
             prop_assert!(expect);
+        }
+    }
+}
+
+proptest! {
+    // Each case derives three signing sets of up to seven members.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn kg20_signing_set_accepts_exactly_honest_responses(
+        seed in any::<u64>(),
+        n in 2u16..=7,
+        t_pick in any::<u16>(),
+        size_pick in any::<u16>(),
+        pick in any::<u16>(),
+        msg in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::RngCore;
+        use thetacrypt::codec::{Decode, Encode};
+        use thetacrypt::schemes::kg20::{self, KeyShare, SignatureShare, SigningSet};
+        use thetacrypt::schemes::SchemeError;
+        let t = t_pick % n;
+        let params = ThresholdParams::new(t, n).unwrap();
+        let mut r = rng_from(seed);
+        let (pk, keys) = kg20::keygen(params, &mut r);
+        let quorum = (t + 1) as usize;
+        let size = quorum + size_pick as usize % (n as usize - quorum + 1);
+        let mut signers: Vec<&KeyShare> = keys.iter().collect();
+        signers.shuffle(&mut r);
+        signers.truncate(size);
+        // Nonces are single use, so the identical batch is regenerated
+        // from one seed for each path that consumes it.
+        let nonce_seed = r.next_u64();
+        let nonces = || {
+            let mut r = rng_from(nonce_seed);
+            signers.iter().map(|k| kg20::generate_nonce(k, &mut r)).collect::<Vec<_>>()
+        };
+        let commits: Vec<_> = nonces().iter().map(|n| n.commitment().clone()).collect();
+        let set = SigningSet::new(&pk, &msg, &commits).unwrap();
+        let shares: Vec<SignatureShare> = signers
+            .iter()
+            .zip(nonces())
+            .map(|(k, n)| set.sign_share(k, n).unwrap())
+            .collect();
+        let free: Vec<SignatureShare> = signers
+            .iter()
+            .zip(nonces())
+            .map(|(k, n)| kg20::sign_share(k, n, &msg, &commits).unwrap())
+            .collect();
+        prop_assert_eq!(&shares, &free);
+        for share in &shares {
+            prop_assert!(set.verify_share(&pk, share));
+            prop_assert!(kg20::verify_share(&pk, &msg, &commits, share));
+        }
+        let sig = set.combine_preverified(&shares).unwrap();
+        prop_assert!(kg20::verify(&pk, &msg, &sig));
+        prop_assert_eq!(&kg20::combine(&pk, &msg, &commits, &shares).unwrap(), &sig);
+
+        // A tampered z_i (its lowest byte flipped) is rejected and named.
+        let i = pick as usize % size;
+        let culprit = shares[i].id().value();
+        let mut bytes = shares[i].encoded();
+        let low = bytes.len() - 32;
+        bytes[low] ^= 1;
+        let tampered = SignatureShare::decoded(&bytes).unwrap();
+        prop_assert!(!set.verify_share(&pk, &tampered));
+        prop_assert!(!kg20::verify_share(&pk, &msg, &commits, &tampered));
+        let mut with_tampered = shares.clone();
+        with_tampered[i] = tampered;
+        prop_assert!(matches!(
+            kg20::combine(&pk, &msg, &commits, &with_tampered),
+            Err(SchemeError::InvalidShare { party }) if party == culprit
+        ));
+
+        // A response made under a different commitment list — signer i's
+        // own commitment kept, another member's replaced — is valid there
+        // and rejected here.
+        if size > 1 {
+            let j = (i + 1) % size;
+            let mut other_commits = commits.clone();
+            other_commits[j] = kg20::generate_nonce(signers[j], &mut r).commitment().clone();
+            let other_set = SigningSet::new(&pk, &msg, &other_commits).unwrap();
+            let nonce_i = nonces().swap_remove(i);
+            let foreign = other_set.sign_share(signers[i], nonce_i).unwrap();
+            prop_assert!(other_set.verify_share(&pk, &foreign));
+            prop_assert!(!set.verify_share(&pk, &foreign));
+            prop_assert!(!kg20::verify_share(&pk, &msg, &commits, &foreign));
+        }
+
+        // A party outside the set cannot contribute, even with a response
+        // that is valid under a set it did join.
+        if let Some(outsider) = keys.iter().find(|k| !set.contains(k.id())) {
+            let mut r2 = rng_from(nonce_seed);
+            let mut joined_nonces: Vec<_> =
+                signers.iter().map(|k| kg20::generate_nonce(k, &mut r2)).collect();
+            joined_nonces.push(kg20::generate_nonce(outsider, &mut r));
+            let joined_commits: Vec<_> =
+                joined_nonces.iter().map(|n| n.commitment().clone()).collect();
+            let joined = SigningSet::new(&pk, &msg, &joined_commits).unwrap();
+            let outsider_nonce = joined_nonces.pop().unwrap();
+            let stray = joined.sign_share(outsider, outsider_nonce).unwrap();
+            prop_assert!(joined.verify_share(&pk, &stray));
+            prop_assert!(!set.verify_share(&pk, &stray));
+            prop_assert!(!kg20::verify_share(&pk, &msg, &commits, &stray));
+            let mut with_stray = shares.clone();
+            with_stray[i] = stray;
+            prop_assert!(matches!(
+                set.combine_preverified(&with_stray),
+                Err(SchemeError::InvalidShareSet(_))
+            ));
         }
     }
 }
