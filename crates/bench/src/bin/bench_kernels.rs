@@ -3,7 +3,9 @@
 //! repository root.
 //!
 //! Most pairs mirror `benches/kernels.rs`; `kg20/node4` times one
-//! node's KG20 signing work with and without a shared signing set. This
+//! node's KG20 signing work with and without a shared signing set, and
+//! `ed25519/decode` / `ed25519/encode` time the Ristretto255 point codec
+//! against the Edwards codec plus `ℓ·P` subgroup check it replaced. This
 //! binary exists so the numbers land in a machine-readable artifact
 //! (consumed by DESIGN.md and the smoke script) rather than only in
 //! Criterion's console output. `--quick` or `CRITERION_QUICK=1` shrinks
@@ -57,6 +59,46 @@ fn measure_each<I, O>(inputs: Vec<I>, mut f: impl FnMut(I) -> O) -> f64 {
         std::hint::black_box(f(input));
     }
     start.elapsed().as_nanos() as f64 / count as f64
+}
+
+/// The RFC 8032 Edwards point codec with an `ℓ·P` subgroup check on
+/// decode: the baseline of the `ed25519/decode` and `ed25519/encode`
+/// rows.
+mod edwards {
+    use theta_math::ed25519::{edwards_d, Fe, Point, Scalar};
+
+    /// Encodes from projective `(X, Y, Z)`: one inversion, then `y` with
+    /// the sign of `x` in bit 255.
+    pub fn compress(x: &Fe, y: &Fe, z: &Fe) -> [u8; 32] {
+        let zinv = z.invert();
+        let mut out = y.mul(&zinv).to_bytes();
+        if x.mul(&zinv).is_negative() {
+            out[31] |= 0x80;
+        }
+        out
+    }
+
+    /// Decompresses `y` and the sign of `x`, then multiplies by ℓ to
+    /// prove prime-order membership, as every decoded point paid.
+    pub fn decode_checked(bytes: &[u8; 32]) -> Option<Point> {
+        let p = decompress(bytes)?;
+        p.mul_biguint(Scalar::order_biguint()).is_identity().then_some(p)
+    }
+
+    /// The curve point with `y` and the sign of `x` from `bytes`.
+    pub fn decompress(bytes: &[u8; 32]) -> Option<Point> {
+        let mut ybytes = *bytes;
+        ybytes[31] &= 0x7f;
+        let y = Fe::from_bytes(&ybytes);
+        let yy = y.square();
+        let u = yy.sub(&Fe::ONE);
+        let v = edwards_d().mul(&yy).add(&Fe::ONE);
+        let mut x = u.mul(&v.invert()).sqrt()?;
+        if x.is_negative() != (bytes[31] >> 7 == 1) {
+            x = x.neg();
+        }
+        Point::from_affine(x, y)
+    }
 }
 
 fn main() {
@@ -294,6 +336,55 @@ fn main() {
                 shares.push(own);
                 set.combine_preverified(&shares).unwrap()
             }),
+        });
+    }
+
+    // Point codec: Edwards decode + ℓ·P check vs Ristretto255 DECODE,
+    // Edwards compress vs Ristretto255 ENCODE. Neither old cost depends
+    // on the values, so the Edwards inputs are curve points of any order
+    // (the ℓ·P multiplication runs in full whatever its verdict) and the
+    // compress inputs are random coordinates.
+    {
+        use rand::RngCore;
+        use theta_math::ed25519::{Fe, Point, Scalar};
+        let random_fe = |r: &mut rand::rngs::StdRng| {
+            let mut b = [0u8; 32];
+            r.fill_bytes(&mut b);
+            Fe::from_bytes(&b)
+        };
+        let points: Vec<Point> =
+            (0..64).map(|_| Point::mul_base(&Scalar::random(&mut r))).collect();
+        let ristretto: Vec<[u8; 32]> = points.iter().map(Point::compress).collect();
+        let mut edwards_encodings = Vec::new();
+        while edwards_encodings.len() < 64 {
+            let mut b = [0u8; 32];
+            r.fill_bytes(&mut b);
+            b[31] &= 0x7f;
+            if edwards::decompress(&b).is_some() {
+                edwards_encodings.push(b);
+            }
+        }
+        let coords: Vec<[Fe; 3]> =
+            (0..64).map(|_| [random_fe(&mut r), random_fe(&mut r), random_fe(&mut r)]).collect();
+        let mut i = 0usize;
+        let mut next = || {
+            i = (i + 1) % 64;
+            i
+        };
+        pairs.push(Pair {
+            name: "ed25519/decode",
+            old_ns: measure(budget, || edwards::decode_checked(&edwards_encodings[next()])),
+            new_ns: measure(budget, || {
+                Point::decompress(&ristretto[next()]).expect("valid encoding")
+            }),
+        });
+        pairs.push(Pair {
+            name: "ed25519/encode",
+            old_ns: measure(budget, || {
+                let [x, y, z] = &coords[next()];
+                edwards::compress(x, y, z)
+            }),
+            new_ns: measure(budget, || points[next()].compress()),
         });
     }
 

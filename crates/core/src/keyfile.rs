@@ -10,9 +10,33 @@ use theta_schemes::{bls04, bz03, cks05, kg20, sg02, sh00};
 use theta_service::PublicKeyChest;
 
 /// Magic prefix of node key files.
-const NODE_MAGIC: &[u8; 8] = b"THETAKEY";
+const NODE_MAGIC: &[u8; 8] = b"THETAKY2";
 /// Magic prefix of public key files.
-const PUBLIC_MAGIC: &[u8; 8] = b"THETAPUB";
+const PUBLIC_MAGIC: &[u8; 8] = b"THETAPB2";
+/// Magics of the files written while Ed25519 points used the Edwards
+/// (RFC 8032) encoding; their points do not decode as Ristretto255.
+const EDWARDS_NODE_MAGIC: &[u8; 8] = b"THETAKEY";
+const EDWARDS_PUBLIC_MAGIC: &[u8; 8] = b"THETAPUB";
+
+/// Checks a file's magic. A file with the magic of the Edwards-encoded
+/// format gets an error that says so, instead of decoding its points
+/// into the wrong group elements or reading as malformed.
+pub(crate) fn check_magic(
+    found: &[u8],
+    current: &[u8; 8],
+    edwards: &[u8; 8],
+    what: &str,
+) -> Result<(), String> {
+    if found == current {
+        Ok(())
+    } else if found == edwards {
+        Err(format!(
+            "{what} uses the old Edwards point encoding; re-deal it with theta_keygen"
+        ))
+    } else {
+        Err(format!("{what} has an unknown format magic"))
+    }
+}
 
 /// One node's secret key material, as persisted on disk.
 #[derive(Default)]
@@ -107,12 +131,8 @@ impl Encode for NodeKeyFile {
 
 impl Decode for NodeKeyFile {
     fn decode(r: &mut Reader) -> theta_codec::Result<Self> {
-        let magic = r.take(8)?;
-        if magic != NODE_MAGIC {
-            return Err(theta_codec::CodecError::InvalidValue(
-                "not a theta node key file".into(),
-            ));
-        }
+        check_magic(r.take(8)?, NODE_MAGIC, EDWARDS_NODE_MAGIC, "node key file")
+            .map_err(theta_codec::CodecError::InvalidValue)?;
         let node_id = u16::decode(r)?;
         let sg02 = get_opt(r)?;
         let bz03 = get_opt(r)?;
@@ -181,12 +201,8 @@ pub fn decode_public_with_roster(
     bytes: &[u8],
 ) -> theta_codec::Result<(PublicKeyChest, Vec<[u8; 32]>)> {
     let mut r = Reader::new(bytes);
-    let magic = r.take(8)?;
-    if magic != PUBLIC_MAGIC {
-        return Err(theta_codec::CodecError::InvalidValue(
-            "not a theta public key file".into(),
-        ));
-    }
+    check_magic(r.take(8)?, PUBLIC_MAGIC, EDWARDS_PUBLIC_MAGIC, "public key file")
+        .map_err(theta_codec::CodecError::InvalidValue)?;
     let keys = PublicKeyChest {
         sg02: get_opt(&mut r)?,
         bz03: get_opt(&mut r)?,
@@ -307,6 +323,28 @@ mod tests {
         // And a roster-less file yields an empty roster.
         let (_, empty) = decode_public_with_roster(&encode_public(&chest)).unwrap();
         assert!(empty.is_empty());
+    }
+
+    fn edwards_error(err: theta_codec::CodecError) -> bool {
+        err.to_string().contains("old Edwards point encoding; re-deal it with theta_keygen")
+    }
+
+    #[test]
+    fn edwards_node_key_file_fails_with_re_deal_error() {
+        let mut bytes = NodeKeyFile { node_id: 1, ..Default::default() }.encoded();
+        bytes[..8].copy_from_slice(EDWARDS_NODE_MAGIC);
+        let err = decode_node_key(&mut bytes).err().expect("old magic rejected");
+        assert!(edwards_error(err));
+    }
+
+    #[test]
+    fn edwards_public_key_file_fails_with_re_deal_error() {
+        let mut r = rand::rngs::StdRng::seed_from_u64(8);
+        let params = ThresholdParams::new(1, 4).unwrap();
+        let (pk, _) = cks05::keygen(params, &mut r);
+        let mut bytes = encode_public(&PublicKeyChest { cks05: Some(pk), ..Default::default() });
+        bytes[..8].copy_from_slice(EDWARDS_PUBLIC_MAGIC);
+        assert!(edwards_error(decode_public(&bytes).unwrap_err()));
     }
 
     #[test]

@@ -40,7 +40,9 @@ use theta_schemes::{SchemeError, ThresholdParams};
 use theta_service::KeyAdmin;
 
 /// Magic prefix of sealed keystore records.
-const RECORD_MAGIC: &[u8; 8] = b"THETAKS1";
+const RECORD_MAGIC: &[u8; 8] = b"THETAKS2";
+/// Magic of records sealed while Ed25519 points used the Edwards encoding.
+const EDWARDS_RECORD_MAGIC: &[u8; 8] = b"THETAKS1";
 
 /// HKDF domain for deriving the storage key from a passphrase.
 const STORAGE_KDF_DOMAIN: &[u8] = b"theta/keystore/v1";
@@ -324,9 +326,12 @@ impl KeyManager {
     fn open_record(&self, keyref: &KeyRef, bytes: &[u8]) -> Result<LoadedKey, String> {
         let mut r = Reader::new(bytes);
         let parse = |_: theta_codec::CodecError| format!("keystore record for {keyref} is malformed");
-        if r.take(8).map_err(parse)? != RECORD_MAGIC {
-            return Err(format!("keystore record for {keyref} is malformed"));
-        }
+        crate::keyfile::check_magic(
+            r.take(8).map_err(parse)?,
+            RECORD_MAGIC,
+            EDWARDS_RECORD_MAGIC,
+            &format!("keystore record for {keyref}"),
+        )?;
         let header_bytes = Vec::<u8>::decode(&mut r).map_err(parse)?;
         let mut nonce = [0u8; 12];
         nonce.copy_from_slice(r.take(12).map_err(parse)?);
@@ -686,6 +691,26 @@ mod tests {
         assert_eq!(
             obs.registry.counter_value("theta_keystore_open_failures_total", &[]),
             Some(1)
+        );
+    }
+
+    #[test]
+    fn edwards_record_fails_with_re_deal_error() {
+        let dir = tempdir("edwards");
+        let keyref = KeyRef::new("acme", "signing");
+        {
+            let manager = KeyManager::open(&dir, KeystoreKey::derive(b"pass"), 4).unwrap();
+            deal_one(&manager, &keyref);
+        }
+        let path = record_path(&dir, &keyref);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(EDWARDS_RECORD_MAGIC);
+        std::fs::write(&path, &bytes).unwrap();
+        let manager = KeyManager::open(&dir, KeystoreKey::derive(b"pass"), 4).unwrap();
+        let err = manager.load(&keyref).unwrap_err();
+        assert!(
+            err.contains("old Edwards point encoding; re-deal it with theta_keygen"),
+            "got: {err}"
         );
     }
 

@@ -253,6 +253,15 @@ impl Fe {
         self.to_bytes()[0] & 1 == 1
     }
 
+    /// The non-negative one of `±self` (RFC 9496 CT_ABS).
+    pub fn abs(&self) -> Fe {
+        if self.is_negative() {
+            self.neg()
+        } else {
+            *self
+        }
+    }
+
     /// Square root: returns `r` with `r² = self` when one exists.
     ///
     /// Uses `r = self^((p+3)/8)` corrected by `sqrt(−1)` when needed.

@@ -2,7 +2,10 @@
 //!
 //! Every mesh node holds a long-term Ed25519 **static identity**
 //! (deterministically derived from a 32-byte seed in its key file) and
-//! knows the full **roster** of peer static public keys. A dialer
+//! knows the full **roster** of peer static public keys. Public keys are
+//! Ristretto255 elements: roster entries and handshake points decode
+//! through one path (canonical RFC 9496 decoding, identity rejected), and
+//! DH outputs and transcript inputs are their canonical encodings. A dialer
 //! authenticates to an accepter — and vice versa — with a two-message
 //! handshake patterned after Noise IK (the initiator already knows the
 //! responder's static key), built entirely from primitives this
@@ -147,21 +150,19 @@ pub struct Roster {
 }
 
 impl Roster {
-    /// Validates and decompresses a roster of static public keys.
+    /// Validates and decodes a roster of static public keys.
     ///
     /// # Errors
     ///
-    /// [`NetworkError::Setup`] when an entry is not a valid prime-order
-    /// Ed25519 point (identity and small-subgroup points are rejected —
-    /// a malicious roster entry must not be able to zero out a DH).
+    /// [`NetworkError::Setup`] when an entry is not the canonical
+    /// Ristretto255 encoding of a non-identity element (a malicious
+    /// roster entry must not be able to zero out a DH).
     pub fn from_bytes(entries: &[[u8; 32]]) -> Result<Roster, NetworkError> {
         let mut keys = Vec::with_capacity(entries.len());
         for (i, bytes) in entries.iter().enumerate() {
-            let point = Point::decompress(bytes)
-                .filter(|p| p.is_in_prime_subgroup() && !p.is_identity())
-                .ok_or_else(|| {
-                    NetworkError::Setup(format!("roster entry {} is not a valid point", i + 1))
-                })?;
+            let point = decode_public(bytes).ok_or_else(|| {
+                NetworkError::Setup(format!("roster entry {} is not a valid point", i + 1))
+            })?;
             keys.push(point);
         }
         Ok(Roster { keys })
@@ -304,11 +305,15 @@ fn dh(secret: &Scalar, public: &Point) -> [u8; 32] {
     public.mul(secret).compress()
 }
 
-/// Decompresses and validates a peer-supplied curve point.
+/// Decodes a public key: a canonical Ristretto255 encoding, not the
+/// identity. Roster entries and handshake points share this one path.
+fn decode_public(bytes: &[u8; 32]) -> Option<Point> {
+    Point::decompress(bytes).filter(|p| !p.is_identity())
+}
+
+/// Decodes and validates a peer-supplied curve point.
 fn parse_point(bytes: &[u8; 32]) -> Result<Point, NetworkError> {
-    Point::decompress(bytes)
-        .filter(|p| p.is_in_prime_subgroup() && !p.is_identity())
-        .ok_or_else(|| NetworkError::Setup("handshake: invalid curve point".into()))
+    decode_public(bytes).ok_or_else(|| NetworkError::Setup("handshake: invalid curve point".into()))
 }
 
 fn transcript_start(responder_static: &Point) -> ([u8; 32], [u8; 32]) {
@@ -808,13 +813,34 @@ mod tests {
 
     #[test]
     fn roster_rejects_invalid_points() {
-        // All-zero bytes decompress to a point not on the curve/not
-        // canonical; and the identity encoding must be rejected too.
+        // All-ones bytes are not a reduced field element; s = 1 is
+        // negative (odd). Neither is a Ristretto255 encoding.
         let bad = [[0xffu8; 32]];
         assert!(Roster::from_bytes(&bad).is_err());
-        let mut identity_enc = [0u8; 32];
-        identity_enc[0] = 1; // y = 1 is the identity point
-        assert!(Roster::from_bytes(&[identity_enc]).is_err());
+        let mut odd = [0u8; 32];
+        odd[0] = 1;
+        assert!(Roster::from_bytes(&[odd]).is_err());
+    }
+
+    #[test]
+    fn roster_rejects_identity_and_non_canonical_entries() {
+        let auth = MeshAuth::insecure_dev(1, 2, 16);
+        let good = auth.roster.to_bytes();
+        // 32 zero bytes: the identity's canonical encoding.
+        assert!(Roster::from_bytes(&[good[0], [0u8; 32]]).is_err());
+        assert!(parse_point(&[0u8; 32]).is_err());
+        // A valid key with bit 255 set: a plain field load ignores the
+        // bit, so these bytes would name the same key a second way.
+        let mut high_bit = good[1];
+        high_bit[31] |= 0x80;
+        assert!(Roster::from_bytes(&[good[0], high_bit]).is_err());
+        // p + 1 is a non-canonical form of s = 1.
+        let mut p_plus_1 = [0xffu8; 32];
+        p_plus_1[0] = 0xee;
+        p_plus_1[31] = 0x7f;
+        assert!(Roster::from_bytes(&[p_plus_1]).is_err());
+        assert!(parse_point(&p_plus_1).is_err());
+        assert!(Roster::from_bytes(&good).is_ok());
     }
 
     #[test]

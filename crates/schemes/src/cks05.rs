@@ -202,7 +202,7 @@ pub fn keygen(params: ThresholdParams, rng: &mut dyn RngCore) -> (PublicKey, Vec
 
 /// The coin base point `g̃ = H(name)`.
 fn coin_base(name: &[u8]) -> Point {
-    hash_to_ed25519(D_COIN_BASE, &[name]).expect("hash-to-curve")
+    hash_to_ed25519(D_COIN_BASE, &[name])
 }
 
 /// Produces this party's coin share for `name` with its DLEQ proof.
@@ -333,6 +333,34 @@ mod tests {
         let params = ThresholdParams::new(t, n).unwrap();
         let (pk, shares) = keygen(params, &mut r);
         (pk, shares, r)
+    }
+
+    #[test]
+    fn torsion_shifted_shares_verify_and_give_the_same_coin() {
+        let (pk, shares, mut r) = setup(1, 4);
+        let honest: Vec<CoinShare> =
+            shares.iter().take(2).map(|s| create_coin_share(s, b"epoch", &mut r)).collect();
+        let coin = combine(&pk, b"epoch", &honest).unwrap();
+        // Every point a receiver holds moves to another coset member.
+        let t = crate::dleq::torsion4();
+        let shifted: Vec<CoinShare> = honest
+            .iter()
+            .map(|s| CoinShare { id: s.id, sigma_i: s.sigma_i.add(&t), proof: s.proof.shifted(&t) })
+            .collect();
+        let shifted_pk = PublicKey {
+            params: pk.params,
+            h: pk.h.sub(&t),
+            verification_keys: pk.verification_keys.iter().map(|v| v.add(&t)).collect(),
+        };
+        for (s, h) in shifted.iter().zip(&honest) {
+            assert!(verify_coin_share(&shifted_pk, b"epoch", s));
+            assert_eq!(s.encoded(), h.encoded());
+            let check = pending_check(&shifted_pk, b"epoch", s);
+            assert_eq!(crate::batch::settle_mixed(&[&check]), vec![true]);
+        }
+        assert!(verify_coin_shares_batch(&shifted_pk, b"epoch", &shifted).is_ok());
+        assert_eq!(combine(&shifted_pk, b"epoch", &shifted).unwrap(), coin);
+        assert_eq!(combine_preverified(&shifted_pk, b"epoch", &shifted).unwrap(), coin);
     }
 
     #[test]

@@ -643,7 +643,7 @@ mod tests {
         let params = ThresholdParams::new(1, 4).unwrap();
         let outputs = run_locally(params, &mut r).unwrap();
         let o = &outputs[0];
-        let g_tilde = crate::hashing::hash_to_ed25519("dkg-test", &[b"coin"]).unwrap();
+        let g_tilde = crate::hashing::hash_to_ed25519("dkg-test", &[b"coin"]);
         let sigma = g_tilde.mul(o.secret_share());
         let proof = DleqProof::prove(
             "dkg-test/share",

@@ -262,6 +262,24 @@ impl Decode for DleqProof {
     }
 }
 
+/// A point of order 4, `(√−1, 0)`: a different representative of the
+/// identity under coset equality. Tests add it to points to check that
+/// every check and hash depends on the element, not the representative.
+#[cfg(test)]
+pub(crate) fn torsion4() -> Point {
+    use theta_math::ed25519::{sqrt_m1, Fe};
+    Point::from_affine(sqrt_m1(), Fe::ZERO).expect("(i, 0) is on the curve")
+}
+
+#[cfg(test)]
+impl DleqProof {
+    /// The same proof with both commitments moved to other members of
+    /// their cosets.
+    pub(crate) fn shifted(&self, t: &Point) -> DleqProof {
+        DleqProof { w1: self.w1.add(t), w2: self.w2.sub(t), response: self.response.clone() }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +287,20 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(0xd1e9)
+    }
+
+    #[test]
+    fn torsion_shifted_statement_and_proof_verify() {
+        let mut r = rng();
+        let (g1, h1, g2, h2, x) = statement(&mut r);
+        let proof = DleqProof::prove("test/dleq", &g1, &h1, &g2, &h2, &x, &mut r);
+        let t = torsion4();
+        assert!(t.is_identity());
+        let (h1s, g2s, h2s) = (h1.add(&t), g2.sub(&t), h2.add(&t.double()));
+        let shifted = proof.shifted(&t);
+        assert!(shifted.verify("test/dleq", &g1, &h1s, &g2s, &h2s));
+        let inst = DleqInstance { g1: &g1, h1: &h1s, g2: &g2s, h2: &h2s, proof: &shifted };
+        assert!(DleqProof::verify_batch("test/dleq", &[inst, inst]));
     }
 
     fn statement(r: &mut impl RngCore) -> (Point, Point, Point, Point, Scalar) {

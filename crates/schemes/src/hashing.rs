@@ -1,36 +1,28 @@
-//! Hash-to-group and hash-to-scalar maps (try-and-increment, domain
-//! separated), used by every scheme's random-oracle instantiation.
+//! Hash-to-group and hash-to-scalar maps (domain separated), used by
+//! every scheme's random-oracle instantiation.
+//!
+//! Ed25519 schemes hash to Ristretto255 with the RFC 9496 one-way map
+//! over the 64-byte domain-separated digest: one evaluation, no retry,
+//! no cofactor clearing. BN254 G1 keeps try-and-increment over `x`.
 
 use crate::error::SchemeError;
 use theta_math::bn254::{Fp, Fr, G1};
 use theta_math::ed25519::{Point, Scalar};
 use theta_primitives::DomainHasher;
 
-/// Retry budget for try-and-increment (each attempt succeeds w.p. ≈ 1/2,
-/// so 128 failures is a 2⁻¹²⁸ event — in practice unreachable).
+/// Retry budget for BN254 try-and-increment (each attempt succeeds
+/// w.p. ≈ 1/2, so 128 failures is a 2⁻¹²⁸ event — in practice
+/// unreachable).
 const MAX_TRIES: u32 = 128;
 
-/// Hashes arbitrary data to a point in the Ed25519 prime-order subgroup.
-///
-/// # Errors
-///
-/// [`SchemeError::HashToGroupFailed`] after exhausting the retry budget
-/// (cryptographically unreachable).
-pub fn hash_to_ed25519(domain: &str, data: &[&[u8]]) -> Result<Point, SchemeError> {
-    for ctr in 0..MAX_TRIES {
-        let mut h = DomainHasher::new(domain);
-        for item in data {
-            h.update(item);
-        }
-        h.update(&ctr.to_le_bytes());
-        let digest = h.finish();
-        let mut candidate = [0u8; 32];
-        candidate.copy_from_slice(&digest[..32]);
-        if let Some(p) = Point::from_uniform_bytes(&candidate) {
-            return Ok(p);
-        }
+/// Hashes arbitrary data to a Ristretto255 element (RFC 9496 one-way
+/// map on the 64-byte digest).
+pub fn hash_to_ed25519(domain: &str, data: &[&[u8]]) -> Point {
+    let mut h = DomainHasher::new(domain);
+    for item in data {
+        h.update(item);
     }
-    Err(SchemeError::HashToGroupFailed)
+    Point::from_uniform_bytes(&h.finish())
 }
 
 /// Hashes arbitrary data to a non-identity point of BN254 G1.
@@ -92,8 +84,8 @@ mod tests {
 
     #[test]
     fn ed25519_deterministic_and_in_subgroup() {
-        let a = hash_to_ed25519("test/h2c", &[b"hello"]).unwrap();
-        let b = hash_to_ed25519("test/h2c", &[b"hello"]).unwrap();
+        let a = hash_to_ed25519("test/h2c", &[b"hello"]);
+        let b = hash_to_ed25519("test/h2c", &[b"hello"]);
         assert_eq!(a, b);
         assert!(a.is_in_prime_subgroup());
         assert!(!a.is_identity());
@@ -101,15 +93,15 @@ mod tests {
 
     #[test]
     fn ed25519_distinct_inputs_distinct_points() {
-        let a = hash_to_ed25519("test/h2c", &[b"hello"]).unwrap();
-        let b = hash_to_ed25519("test/h2c", &[b"world"]).unwrap();
+        let a = hash_to_ed25519("test/h2c", &[b"hello"]);
+        let b = hash_to_ed25519("test/h2c", &[b"world"]);
         assert_ne!(a, b);
     }
 
     #[test]
     fn ed25519_domain_separation() {
-        let a = hash_to_ed25519("domain-1", &[b"x"]).unwrap();
-        let b = hash_to_ed25519("domain-2", &[b"x"]).unwrap();
+        let a = hash_to_ed25519("domain-1", &[b"x"]);
+        let b = hash_to_ed25519("domain-2", &[b"x"]);
         assert_ne!(a, b);
     }
 

@@ -610,6 +610,45 @@ mod tests {
         (pk, keys, r)
     }
 
+    #[test]
+    fn torsion_shifted_commitments_and_keys_sign_identically() {
+        let (pk, keys, mut r) = setup(1, 3);
+        let signers = [&keys[0], &keys[2]];
+        let nonces: Vec<SigningNonce> =
+            signers.iter().map(|k| generate_nonce(k, &mut r)).collect();
+        let commits: Vec<NonceCommitment> =
+            nonces.iter().map(|n| n.commitment().clone()).collect();
+        let shares: Vec<SignatureShare> = signers
+            .iter()
+            .zip(nonces)
+            .map(|(k, n)| sign_share(k, n, b"msg", &commits).unwrap())
+            .collect();
+        let sig = combine(&pk, b"msg", &commits, &shares).unwrap();
+        // A receiver holding other coset members of every point: the
+        // binding factors, challenge and checks must not change.
+        let t = crate::dleq::torsion4();
+        let shifted_commits: Vec<NonceCommitment> = commits
+            .iter()
+            .map(|c| NonceCommitment {
+                id: c.id,
+                d_big: c.d_big.add(&t),
+                e_big: c.e_big.sub(&t),
+            })
+            .collect();
+        let shifted_pk = PublicKey {
+            params: pk.params,
+            y: pk.y.add(&t.double()),
+            verification_keys: pk.verification_keys.iter().map(|v| v.sub(&t)).collect(),
+        };
+        for share in &shares {
+            assert!(verify_share(&shifted_pk, b"msg", &shifted_commits, share));
+        }
+        let shifted_sig = combine(&shifted_pk, b"msg", &shifted_commits, &shares).unwrap();
+        assert_eq!(shifted_sig.encoded(), sig.encoded());
+        assert!(verify(&shifted_pk, b"msg", &sig));
+        assert!(verify(&pk, b"msg", &shifted_sig));
+    }
+
     fn run_signing(
         pk: &PublicKey,
         keys: &[&KeyShare],

@@ -256,7 +256,7 @@ impl Decode for DecryptionShare {
 pub fn keygen(params: ThresholdParams, rng: &mut dyn RngCore) -> (PublicKey, Vec<KeyShare>) {
     let x = Scalar::random(rng);
     let h = Point::mul_base(&x);
-    let g_bar = hash_to_ed25519(D_GBAR, &[&h.compress()]).expect("hash-to-curve");
+    let g_bar = hash_to_ed25519(D_GBAR, &[&h.compress()]);
     let shares = shamir_share(&x, params, rng);
     let verification_keys: Vec<Point> =
         shares.iter().map(|(_, x_i)| Point::mul_base(x_i)).collect();
@@ -522,6 +522,38 @@ mod tests {
         let params = ThresholdParams::new(t, n).unwrap();
         let (pk, shares) = keygen(params, &mut r);
         (pk, shares, r)
+    }
+
+    #[test]
+    fn torsion_shifted_points_verify_and_decrypt() {
+        let (pk, shares, mut r) = setup(1, 4);
+        let ct = encrypt(&pk, b"label", b"the message", &mut r);
+        let dec: Vec<DecryptionShare> = shares[..2]
+            .iter()
+            .map(|k| create_decryption_share(k, &ct, &mut r).unwrap())
+            .collect();
+        // Every point of the key, ciphertext and shares moves to another
+        // member of its coset; `g_bar`, the nonce and the mask must not move.
+        let t = crate::dleq::torsion4();
+        let shifted_pk = PublicKey {
+            params: pk.params,
+            h: pk.h.add(&t),
+            g_bar: pk.g_bar.sub(&t),
+            verification_keys: pk.verification_keys.iter().map(|v| v.add(&t)).collect(),
+        };
+        let shifted_ct = Ciphertext { u: ct.u.add(&t), u_bar: ct.u_bar.sub(&t), ..ct.clone() };
+        let shifted: Vec<DecryptionShare> = dec
+            .iter()
+            .map(|d| DecryptionShare { id: d.id, u_i: d.u_i.add(&t), proof: d.proof.shifted(&t) })
+            .collect();
+        assert!(verify_ciphertext(&shifted_pk, &shifted_ct));
+        assert_eq!(shifted_ct.fingerprint(), ct.fingerprint());
+        for d in &shifted {
+            assert!(verify_decryption_share(&shifted_pk, &shifted_ct, d));
+        }
+        assert_eq!(combine(&shifted_pk, &shifted_ct, &shifted).unwrap(), b"the message");
+        let own = create_decryption_share(&shares[2], &shifted_ct, &mut r).unwrap();
+        assert!(verify_decryption_share(&pk, &ct, &own));
     }
 
     #[test]

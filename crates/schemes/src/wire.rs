@@ -3,30 +3,32 @@
 //! `theta-codec` and `theta-math` are independent crates, so the codec
 //! traits cannot be implemented on the math types directly; these free
 //! functions provide the canonical encodings instead.
+//!
+//! Ed25519 points travel as 32-byte Ristretto255 encodings (RFC 9496).
+//! Decoding accepts exactly the canonical encodings of prime-order group
+//! elements, so [`get_point`] needs no subgroup multiplication and every
+//! element has one wire form.
 
 use theta_codec::{CodecError, Decode, Encode, Reader, Result, Writer};
 use theta_math::bn254::{Fr, G1, G2};
 use theta_math::ed25519::{Point, Scalar};
 use theta_math::BigUint;
 
-/// Appends a compressed Ed25519 point (32 bytes).
+/// Appends an Ed25519 point as its Ristretto255 encoding (32 bytes).
 pub fn put_point(w: &mut Writer, p: &Point) {
     p.compress().encode(w);
 }
 
-/// Reads a compressed Ed25519 point, enforcing prime-subgroup membership.
+/// Reads a Ristretto255-encoded Ed25519 point.
 ///
 /// # Errors
 ///
-/// [`CodecError::InvalidValue`] on off-curve or small-order encodings.
+/// [`CodecError::InvalidValue`] unless the bytes are the canonical
+/// encoding of a group element.
 pub fn get_point(r: &mut Reader) -> Result<Point> {
     let bytes = <[u8; 32]>::decode(r)?;
-    let p = Point::decompress(&bytes)
-        .ok_or_else(|| CodecError::InvalidValue("not an ed25519 point".into()))?;
-    if !p.is_in_prime_subgroup() {
-        return Err(CodecError::InvalidValue("point outside prime subgroup".into()));
-    }
-    Ok(p)
+    Point::decompress(&bytes)
+        .ok_or_else(|| CodecError::InvalidValue("not a ristretto255 encoding".into()))
 }
 
 /// Appends an Ed25519 scalar (32 bytes, little-endian).
@@ -145,6 +147,36 @@ mod tests {
         let bytes = w.into_bytes();
         let mut rd = Reader::new(&bytes);
         assert!(get_point(&mut rd).is_err());
+    }
+
+    fn decode_point(bytes: [u8; 32]) -> Result<Point> {
+        let mut w = Writer::new();
+        bytes.encode(&mut w);
+        let buf = w.into_bytes();
+        get_point(&mut Reader::new(&buf))
+    }
+
+    #[test]
+    fn point_rejects_non_canonical_and_negative() {
+        // p + 1 reduces to 1: a second wire form under a plain field load.
+        let mut p_plus_1 = [0xffu8; 32];
+        p_plus_1[0] = 0xee;
+        p_plus_1[31] = 0x7f;
+        assert!(decode_point(p_plus_1).is_err());
+        // An odd s is negative; the encoding of −P as p − s is odd.
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        assert!(decode_point(one).is_err());
+        let p = Point::mul_base(&Scalar::random(&mut rng()));
+        let mut w = Writer::new();
+        put_point(&mut w, &p);
+        let enc: [u8; 32] = w.into_bytes().try_into().unwrap();
+        let flipped = theta_math::ed25519::Fe::from_bytes(&enc).neg().to_bytes();
+        assert_eq!(flipped[0] & 1, 1);
+        assert!(decode_point(flipped).is_err());
+        assert_eq!(decode_point(enc).unwrap(), p);
+        // The identity's canonical form is 32 zero bytes.
+        assert!(decode_point([0u8; 32]).unwrap().is_identity());
     }
 
     #[test]

@@ -335,23 +335,25 @@ impl CostModel {
             // sizes for the linear fit. A nonce signs once, so each timed
             // call gets its own nonce and commitment list.
             let sign_at = |group: usize, rng: &mut rand::rngs::StdRng| {
-                let runs: Vec<_> = (0..6)
-                    .map(|_| {
-                        let mut nonces: Vec<_> = keys[..group]
-                            .iter()
-                            .map(|k| kg20::generate_nonce(k, rng))
-                            .collect();
-                        let commits: Vec<_> =
-                            nonces.iter().map(|n| n.commitment().clone()).collect();
-                        (nonces.swap_remove(0), commits)
-                    })
-                    .collect();
-                let calls = runs.len() as u32;
-                let start = Instant::now();
-                for (nonce0, commits) in runs {
-                    let _ = kg20::sign_share(&keys[0], nonce0, &payload, &commits).unwrap();
-                }
-                start.elapsed() / calls
+                min_over_batches(|| {
+                    let runs: Vec<_> = (0..6)
+                        .map(|_| {
+                            let mut nonces: Vec<_> = keys[..group]
+                                .iter()
+                                .map(|k| kg20::generate_nonce(k, rng))
+                                .collect();
+                            let commits: Vec<_> =
+                                nonces.iter().map(|n| n.commitment().clone()).collect();
+                            (nonces.swap_remove(0), commits)
+                        })
+                        .collect();
+                    let calls = runs.len() as u32;
+                    let start = Instant::now();
+                    for (nonce0, commits) in runs {
+                        let _ = kg20::sign_share(&keys[0], nonce0, &payload, &commits).unwrap();
+                    }
+                    start.elapsed() / calls
+                })
             };
             let s3 = sign_at(3, &mut rng);
             let s7 = sign_at(7, &mut rng);
@@ -437,15 +439,45 @@ impl CostModel {
     }
 }
 
+/// Per-call cost of `f`: one warm-up call, then the minimum over
+/// batches of `iters` calls of the batch mean (see [`min_over_batches`]).
 fn time_op(iters: u32, mut f: impl FnMut()) -> Duration {
-    // One warmup, then the mean of `iters` runs.
     f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed() / iters
+    min_over_batches(|| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        start.elapsed() / iters
+    })
 }
+
+/// Runs `batch` (which returns one batch's per-call mean) until its
+/// minimum is stable, and returns that minimum. The fastest batch is the
+/// one least disturbed by other work on the host, so it reproduces from
+/// run to run where a single mean does not. Stable means no improvement
+/// of more than 1% in [`STABLE_BATCHES`] batches in a row; a calibration
+/// step stops anyway once [`BATCH_BUDGET`] is spent.
+fn min_over_batches(mut batch: impl FnMut() -> Duration) -> Duration {
+    let started = Instant::now();
+    let mut best = batch();
+    let mut since_improved = 0;
+    while since_improved < STABLE_BATCHES && started.elapsed() < BATCH_BUDGET {
+        let mean = batch();
+        if mean < best.mul_f64(0.99) {
+            since_improved = 0;
+        } else {
+            since_improved += 1;
+        }
+        best = best.min(mean);
+    }
+    best
+}
+
+/// Batches without a 1% improvement after which a minimum counts as stable.
+const STABLE_BATCHES: u32 = 4;
+/// Wall-clock cap on timing one calibration step.
+const BATCH_BUDGET: Duration = Duration::from_millis(1500);
 
 /// Solves `cost(k) = fixed + k · per_item` from two measurements.
 fn linear_fit(k1: u32, c1: Duration, k2: u32, c2: Duration) -> (Duration, Duration) {

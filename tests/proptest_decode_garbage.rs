@@ -80,4 +80,25 @@ proptest! {
             );
         }
     }
+
+    #[test]
+    fn accepted_point_bytes_reencode_identically(
+        bytes in proptest::collection::vec(any::<u8>(), 32..33),
+        k in 1u64..,
+        flip in 0usize..256,
+    ) {
+        use thetacrypt::codec::Reader;
+        use thetacrypt::math::ed25519::{Point, Scalar};
+        use thetacrypt::schemes::wire::get_point;
+        // Random strings, and valid encodings with one bit flipped.
+        let mut valid = Point::mul_base(&Scalar::from_u64(k)).compress();
+        valid[flip / 8] ^= 1 << (flip % 8);
+        let mut random = [0u8; 32];
+        random.copy_from_slice(&bytes);
+        for candidate in [random, valid] {
+            if let Ok(p) = get_point(&mut Reader::new(&candidate)) {
+                prop_assert_eq!(p.compress(), candidate);
+            }
+        }
+    }
 }

@@ -97,7 +97,12 @@ proptest! {
     fn ed25519_compress_roundtrip(k in 1u64..) {
         use thetacrypt::math::ed25519::{Point, Scalar};
         let p = Point::mul_base(&Scalar::from_u64(k));
-        prop_assert_eq!(Point::decompress(&p.compress()).unwrap(), p);
+        let c = p.compress();
+        // `==` is coset equality: the decoded representative may differ
+        // from `p` by 4-torsion and still be the same element.
+        let q = Point::decompress(&c).unwrap();
+        prop_assert_eq!(q, p);
+        prop_assert_eq!(q.compress(), c);
     }
 
     // ---------------- BN254 group laws ----------------
