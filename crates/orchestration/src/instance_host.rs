@@ -174,6 +174,7 @@ impl InstanceHost {
     ) {
         self.obs.journal.record_peer(self.id.0, TraceEventKind::ShareReceived, from);
         let verify_start = Instant::now();
+        let inline_before = self.driver.stats().eager_verifies;
         let verdict = self.driver.deliver(inbound);
         let verify_spent = verify_start.elapsed();
         self.obs.phases.share_verify.record(verify_spent);
@@ -186,10 +187,11 @@ impl InstanceHost {
                 // A batchable share is *deferred*, not verified: its
                 // check surfaces here and the trace shows
                 // BatchEnqueued instead of ShareVerified (which arrives
-                // later with the batch verdicts).
-                let before = checks_out.len();
+                // later with the batch verdicts). A share beyond what
+                // the quorum needs is held unread. Only an inline check
+                // verifies a share during delivery.
                 self.drain_checks(checks_out);
-                if checks_out.len() == before {
+                if self.driver.stats().eager_verifies > inline_before {
                     self.obs.journal.record_peer(self.id.0, TraceEventKind::ShareVerified, from);
                 }
             }

@@ -523,6 +523,7 @@ struct RouterMetrics {
     shares_pruned: Arc<Counter>,
     eager_verifies: Arc<Counter>,
     shares_cross_batched: Arc<Counter>,
+    shares_unread: Arc<Counter>,
 }
 
 impl RouterMetrics {
@@ -540,6 +541,7 @@ impl RouterMetrics {
             shares_pruned: registry.counter("theta_shares_pruned_total"),
             eager_verifies: registry.counter("theta_share_verifications_eager_total"),
             shares_cross_batched: registry.counter("theta_shares_cross_batched_total"),
+            shares_unread: registry.counter("theta_shares_unread_total"),
         }
     }
 }
@@ -1115,6 +1117,7 @@ impl Router {
             self.metrics.shares_pruned.add(stats.shares_pruned);
             self.metrics.eager_verifies.add(stats.eager_verifies);
             self.metrics.shares_cross_batched.add(stats.cross_batched);
+            self.metrics.shares_unread.add(stats.shares_unread);
         }
         let result = InstanceResult { instance: id, outcome, elapsed: entry.started.elapsed() };
         // Account and cache *before* notifying: a subscriber thread may
@@ -1825,6 +1828,25 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(cross() >= 1, "no share was cross-batch verified");
+        // Only the shares the quorum needs are verified: t = 1 per
+        // instance on this node. Every node folds the shares it held
+        // past its quorum into the unread counter.
+        assert!(cross() <= REQS as u64, "verified {} peer shares for {REQS} instances", cross());
+        let unread = || {
+            handles
+                .iter()
+                .map(|h| {
+                    h.observability()
+                        .registry
+                        .counter_value("theta_shares_unread_total", &[])
+                        .unwrap_or(0)
+                })
+                .sum::<u64>()
+        };
+        while unread() == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(unread() >= 1, "no node dropped a held share unread");
         // At least one flush fired, and the size histogram saw it.
         let flushes: u64 = ["size", "age", "shutdown"]
             .iter()
@@ -1869,7 +1891,14 @@ mod tests {
         let params = ThresholdParams::new(2, 4).unwrap();
         let (_, honest_keys) = theta_schemes::bls04::keygen(params, &mut r);
         let (_, foreign_keys) = theta_schemes::bls04::keygen(params, &mut r);
-        let (_hub, nets) = build_network(4);
+        let (hub, nets) = build_network(4);
+        // A node checks only the first two peer shares it receives. Node
+        // 4's links to nodes 1 and 3 are slow, so there the forger's
+        // share is among those two: it is checked and pruned, and node
+        // 4's share completes the quorum when it arrives.
+        for to in [1, 3] {
+            hub.set_link(4, to, theta_network::LinkProfile::fixed(Duration::from_millis(150)));
+        }
         let handles: Vec<NodeHandle> = (0..4usize)
             .zip(nets)
             .map(|(i, net)| {
@@ -1879,11 +1908,9 @@ mod tests {
                 } else {
                     honest_keys[i].clone()
                 });
-                // One wide batch window: every share of both instances,
-                // the forged ones included, lands in the same settle.
-                // With a narrow window the honest shares can reach
-                // quorum before the forger's (it joins on first
-                // contact, so its share is always last) is ever checked.
+                // One wide batch window: the checked shares of both
+                // instances, the forged ones included, land in the same
+                // settle.
                 spawn_node(
                     chest,
                     net,

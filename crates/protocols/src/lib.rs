@@ -116,13 +116,18 @@ impl ProtocolOutput {
 /// node's metrics when the instance finishes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProtocolStats {
-    /// Shares dropped because their cross-instance check failed.
+    /// Shares dropped after they were admitted: their cross-instance
+    /// check failed, or a held share failed as it was promoted.
     pub shares_pruned: u64,
     /// Per-share inline verifications (shares without a detachable
     /// check: SH00 shares and KG20 responses).
     pub eager_verifies: u64,
     /// Shares verified by a cross-instance batch settle.
     pub cross_batched: u64,
+    /// Peer shares held undecoded, because enough shares were already
+    /// admitted to complete the quorum, and dropped unread when the
+    /// instance finalized.
+    pub shares_unread: u64,
 }
 
 /// The Threshold Round Interface (paper §3.5).

@@ -3,13 +3,14 @@
 //! A non-interactive threshold protocol has exactly the three-algorithm
 //! shape from the paper's §2.2 — create a share, verify a share, combine
 //! a quorum — so one state machine serves SG02, BZ03, SH00, BLS04 and
-//! CKS05 through the [`OneRoundScheme`] adapter trait.
+//! CKS05 through the [`OneRoundScheme`] adapter trait. It verifies what
+//! the quorum needs and holds the rest unread (see [`OneRoundProtocol`]).
 
 use crate::{
     InboundMessage, OutboundMessage, ProtocolOutput, ProtocolStats, RoundOutput,
     ThresholdRoundProtocol, Transport,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use theta_schemes::batch::PendingCheck;
 use theta_schemes::{bls04, bz03, cks05, sg02, sh00, PartyId, SchemeError};
 
@@ -69,30 +70,52 @@ pub trait OneRoundScheme: Send {
 
 /// TRI state machine for any [`OneRoundScheme`].
 ///
-/// Each received share's validity check is detached as a
-/// [`PendingCheck`] (drained via
+/// It verifies what the quorum needs and holds the rest unread. A peer
+/// share is decoded and checked only while `verified + pending <
+/// quorum`; its check is detached as a [`PendingCheck`] (drained via
 /// [`ThresholdRoundProtocol::take_pending_checks`]) so the orchestration
 /// layer can settle checks from *many concurrent instances* in one
-/// combined equation. Shares count toward quorum once their verdict
-/// arrives through [`ThresholdRoundProtocol::resolve_checks`]; by then
-/// every quorum share is individually verified, so finalization only
-/// pays for the Lagrange combine. Schemes without a detachable check
-/// (SH00) verify inline on arrival.
+/// combined equation, and the share counts toward quorum once its
+/// verdict arrives through [`ThresholdRoundProtocol::resolve_checks`].
+/// Schemes without a detachable check (SH00) verify inline instead.
+/// Every share that counts is individually verified, so finalization
+/// only pays for the Lagrange combine.
 ///
-/// A party whose share fails verification is excluded for the rest of
-/// the instance: its later shares are rejected and its later verdicts
-/// ignored. Senders are link-authenticated, so only a faulty party can
-/// produce a failing share, and a verdict (keyed by party) can never
-/// land on a share other than the one it checked.
+/// Any further share is held as its raw payload, keyed by its
+/// transport-authenticated sender, in arrival order. When an admitted
+/// share fails (a false verdict), the oldest held share is promoted:
+/// decoded and checked. When the instance finalizes, the held shares are
+/// dropped unread and counted in [`ProtocolStats::shares_unread`]. Every
+/// combine result of these schemes is unique given valid shares, so
+/// honest nodes agree whichever valid subset each one combines.
+///
+/// A party whose share fails — a false verdict, a failed inline check,
+/// an undecodable payload or a share claiming another party — is
+/// excluded for the rest of the instance: its later shares are rejected
+/// and its later verdicts ignored. Each party has one share version: a
+/// re-delivery must repeat the payload byte for byte. Senders are
+/// link-authenticated, so only a faulty party can produce a failing
+/// share, and a verdict (keyed by party) can never land on a share other
+/// than the one it checked.
 pub struct OneRoundProtocol<S: OneRoundScheme> {
     scheme: S,
     round: u16,
-    shares: BTreeMap<PartyId, S::Share>,
+    /// Decoded shares, verified or awaiting their verdict.
+    shares: BTreeMap<PartyId, Admitted<S::Share>>,
     verified: BTreeSet<PartyId>,
     excluded: BTreeSet<PartyId>,
+    /// Shares beyond what the quorum needs, undecoded, oldest first.
+    held: VecDeque<(PartyId, Vec<u8>)>,
     outbox: Vec<(PartyId, PendingCheck)>,
     finished: bool,
     stats: ProtocolStats,
+}
+
+/// A decoded share with the payload it arrived as, so a re-delivery is
+/// compared byte for byte instead of re-encoding the share.
+struct Admitted<T> {
+    share: T,
+    payload: Vec<u8>,
 }
 
 impl<S: OneRoundScheme> OneRoundProtocol<S> {
@@ -104,14 +127,15 @@ impl<S: OneRoundScheme> OneRoundProtocol<S> {
             shares: BTreeMap::new(),
             verified: BTreeSet::new(),
             excluded: BTreeSet::new(),
+            held: VecDeque::new(),
             outbox: Vec::new(),
             finished: false,
             stats: ProtocolStats::default(),
         }
     }
 
-    /// Number of shares currently held, verified or still awaiting
-    /// their verdict.
+    /// Number of decoded shares, verified or still awaiting their
+    /// verdict. Held shares are not counted.
     pub fn share_count(&self) -> usize {
         self.shares.len()
     }
@@ -121,6 +145,52 @@ impl<S: OneRoundScheme> OneRoundProtocol<S> {
         self.shares.remove(&party);
         self.verified.remove(&party);
         self.excluded.insert(party);
+    }
+
+    /// Decodes `party`'s share and starts its check: detached for a
+    /// batch settle, or inline for schemes without a detachable check.
+    /// A share that does not decode, claims another party or fails its
+    /// inline check excludes `party`.
+    fn admit(&mut self, party: PartyId, payload: Vec<u8>) -> Result<(), SchemeError> {
+        let decoded = self.scheme.decode_share(&payload).and_then(|share| {
+            if S::share_party(&share) == party {
+                Ok(share)
+            } else {
+                Err(SchemeError::InvalidShare { party: party.value() })
+            }
+        });
+        let share = match decoded {
+            Ok(share) => share,
+            Err(e) => {
+                self.excluded.insert(party);
+                return Err(e);
+            }
+        };
+        match self.scheme.pending_check(&share) {
+            Some(check) => self.outbox.push((party, check)),
+            None => {
+                self.stats.eager_verifies += 1;
+                if !self.scheme.verify_share(&share) {
+                    self.excluded.insert(party);
+                    return Err(SchemeError::InvalidShare { party: party.value() });
+                }
+                self.verified.insert(party);
+            }
+        }
+        self.shares.insert(party, Admitted { share, payload });
+        Ok(())
+    }
+
+    /// Admits held shares, oldest first, until the admitted shares can
+    /// complete the quorum again or none is held. A promoted share that
+    /// fails at once counts as pruned.
+    fn promote(&mut self) {
+        while self.shares.len() < self.scheme.quorum() {
+            let Some((party, payload)) = self.held.pop_front() else { return };
+            if self.admit(party, payload).is_err() {
+                self.stats.shares_pruned += 1;
+            }
+        }
     }
 }
 
@@ -135,7 +205,7 @@ impl<S: OneRoundScheme> ThresholdRoundProtocol for OneRoundProtocol<S> {
         let share = self.scheme.create_share(rng)?;
         let payload = S::encode_share(&share);
         let me = self.scheme.party();
-        self.shares.insert(me, share);
+        self.shares.insert(me, Admitted { share, payload: payload.clone() });
         // Own shares are trusted (we just created them).
         self.verified.insert(me);
         Ok(RoundOutput {
@@ -144,42 +214,37 @@ impl<S: OneRoundScheme> ThresholdRoundProtocol for OneRoundProtocol<S> {
     }
 
     fn update(&mut self, message: &InboundMessage) -> Result<(), SchemeError> {
-        let share = self.scheme.decode_share(&message.payload)?;
-        let claimed = S::share_party(&share);
-        if claimed != message.sender || self.excluded.contains(&claimed) {
-            return Err(SchemeError::InvalidShare { party: message.sender.value() });
+        let sender = message.sender;
+        let conflict = || Err(SchemeError::InvalidShare { party: sender.value() });
+        if self.excluded.contains(&sender) {
+            return conflict();
         }
-        if self.verified.contains(&claimed) {
-            // Already settled for this party (e.g. P2P re-delivery).
+        if let Some(admitted) = self.shares.get(&sender) {
+            // Only one share version per party, so verdicts are never
+            // ambiguous about which share they refer to.
+            if admitted.payload != message.payload {
+                return conflict();
+            }
+            if !self.verified.contains(&sender) {
+                // A verdict is still outstanding: re-enqueue the check
+                // (self-healing if the earlier verdict was dropped).
+                if let Some(check) = self.scheme.pending_check(&admitted.share) {
+                    self.outbox.push((sender, check));
+                }
+            }
             return Ok(());
         }
-        if let Some(existing) = self.shares.get(&claimed) {
-            // A verdict for this party is still outstanding. A
-            // re-delivery of the *same* share re-enqueues its check
-            // (self-healing if the earlier verdict was dropped), but a
-            // *different* share is rejected: only one share version per
-            // party may be in flight, so verdicts are never ambiguous
-            // about which share they refer to.
-            if S::encode_share(existing) != message.payload {
-                return Err(SchemeError::InvalidShare { party: claimed.value() });
-            }
+        if let Some((_, held)) = self.held.iter().find(|(party, _)| *party == sender) {
+            return if *held == message.payload { Ok(()) } else { conflict() };
         }
-        match self.scheme.pending_check(&share) {
-            Some(check) => {
-                self.shares.insert(claimed, share);
-                self.outbox.push((claimed, check));
-            }
-            None => {
-                self.stats.eager_verifies += 1;
-                if !self.scheme.verify_share(&share) {
-                    self.exclude(claimed);
-                    return Err(SchemeError::InvalidShare { party: claimed.value() });
-                }
-                self.shares.insert(claimed, share);
-                self.verified.insert(claimed);
-            }
+        // Nothing is held while the admitted shares fall short of the
+        // quorum, so a failed admission here leaves nothing to promote.
+        if self.shares.len() < self.scheme.quorum() {
+            self.admit(sender, message.payload.clone())
+        } else {
+            self.held.push_back((sender, message.payload.clone()));
+            Ok(())
         }
-        Ok(())
     }
 
     fn is_ready_for_next_round(&self) -> bool {
@@ -199,11 +264,13 @@ impl<S: OneRoundScheme> ThresholdRoundProtocol for OneRoundProtocol<S> {
                 need: self.scheme.quorum(),
             });
         }
+        self.stats.shares_unread += self.held.len() as u64;
+        self.held.clear();
         let shares: Vec<S::Share> = self
             .shares
             .iter()
             .filter(|(id, _)| self.verified.contains(id))
-            .map(|(_, s)| s.clone())
+            .map(|(_, admitted)| admitted.share.clone())
             .collect();
         let out = self.scheme.combine(&shares)?;
         self.finished = true;
@@ -228,7 +295,7 @@ impl<S: OneRoundScheme> ThresholdRoundProtocol for OneRoundProtocol<S> {
 
     fn resolve_checks(&mut self, verdicts: &[(PartyId, bool)]) {
         for (party, ok) in verdicts {
-            // No share held means the verdict is stale: the party was
+            // No admitted share means the verdict is stale: the party was
             // excluded (or never sent a share) since its check was
             // enqueued.
             if !self.shares.contains_key(party) {
@@ -243,6 +310,7 @@ impl<S: OneRoundScheme> ThresholdRoundProtocol for OneRoundProtocol<S> {
                 self.stats.shares_pruned += 1;
             }
         }
+        self.promote();
     }
 }
 
@@ -718,11 +786,17 @@ mod tests {
             let share = theta_schemes::sg02::create_decryption_share(k, &ct, &mut r).unwrap();
             me.update(&share_msg(k.id(), &share)).unwrap();
         }
-        assert_eq!(settle_outbox(&mut me), 3);
+        // Quorum 3: own share plus two checks; party 4's share is held.
+        assert_eq!(settle_outbox(&mut me), 2);
         let stats = me.stats();
         assert_eq!(stats.shares_pruned, 1, "the forged share must be pruned");
+        assert_eq!(stats.cross_batched, 1);
+        // The prune promotes the held share, whose check completes the quorum.
+        assert_eq!(settle_outbox(&mut me), 1);
+        let stats = me.stats();
         assert_eq!(stats.cross_batched, 2, "the honest remainder batch-verifies");
         assert_eq!(stats.eager_verifies, 0, "batchable schemes never verify inline");
+        assert_eq!(me.finalize().unwrap(), ProtocolOutput::Plaintext(b"m".to_vec()));
 
         // SH00 has no detachable check: it counts per-share inline
         // checks instead, and a failing one excludes its sender too.
@@ -756,13 +830,15 @@ mod tests {
             let share = theta_schemes::sg02::create_decryption_share(k, &ct, &mut r).unwrap();
             me.update(&share_msg(k.id(), &share)).unwrap();
         }
-        // Shares are held but unverified: quorum only counts verdicts.
-        assert_eq!(me.share_count(), 3);
+        // Party 2's share is decoded but unverified: quorum only counts
+        // verdicts. Party 3's share is beyond the quorum and held unread.
+        assert_eq!(me.share_count(), 2);
         assert!(!me.is_ready_to_finalize());
-        assert_eq!(settle_outbox(&mut me), 2);
+        assert_eq!(settle_outbox(&mut me), 1);
         assert!(me.is_ready_to_finalize());
         assert_eq!(me.finalize().unwrap(), ProtocolOutput::Plaintext(b"pooled".to_vec()));
-        assert_eq!(me.stats().cross_batched, 2);
+        assert_eq!(me.stats().cross_batched, 1);
+        assert_eq!(me.stats().shares_unread, 1);
         assert_eq!(me.stats().eager_verifies, 0);
 
         // BZ03 decryption (pairing checks ride the same outbox).
@@ -968,7 +1044,7 @@ mod tests {
         me.resolve_checks(&[(keys[1].id(), true)]);
         me.update(&InboundMessage { sender: keys[1].id(), round: 1, payload }).unwrap();
         assert!(me.take_pending_checks().is_empty());
-        // Stale verdict for a party with no held share is ignored.
+        // Stale verdict for a party with no admitted share is ignored.
         me.resolve_checks(&[(PartyId(6), false)]);
         assert_eq!(me.stats().shares_pruned, 0);
     }
@@ -1017,8 +1093,9 @@ mod tests {
             })
             .unwrap();
         }
+        // Quorum 2: party 2's check completes it, party 3's share is held.
         let pending = d.take_pending_checks();
-        assert_eq!(pending.len(), 2);
+        assert_eq!(pending.len(), 1);
         // No verdicts yet: the instance cannot finalize.
         assert!(d.advance(&mut r).finished.is_none());
         let verdicts: Vec<(PartyId, bool)> = pending.iter().map(|(id, _)| (*id, true)).collect();
@@ -1029,8 +1106,136 @@ mod tests {
             other => panic!("expected plaintext, got {other:?}"),
         }
         assert!(step.combine_time.is_some());
+        assert_eq!(d.stats().shares_unread, 1);
         // Finished: the driver drains and drops any residue.
         assert!(d.take_pending_checks().is_empty());
+    }
+
+    /// CKS05 shares of `keys` for the coin `name`, as messages from their
+    /// own parties.
+    fn coin_msgs(
+        keys: &[theta_schemes::cks05::KeyShare],
+        name: &[u8],
+        r: &mut rand::rngs::StdRng,
+    ) -> Vec<InboundMessage> {
+        keys.iter()
+            .map(|k| share_msg(k.id(), &theta_schemes::cks05::create_coin_share(k, name, r)))
+            .collect()
+    }
+
+    /// The coin every honest quorum of `keys` combines to.
+    fn honest_coin(
+        pk: &theta_schemes::cks05::PublicKey,
+        keys: &[theta_schemes::cks05::KeyShare],
+        name: &[u8],
+        r: &mut rand::rngs::StdRng,
+    ) -> ProtocolOutput {
+        let shares: Vec<_> = keys
+            .iter()
+            .map(|k| theta_schemes::cks05::create_coin_share(k, name, r))
+            .collect();
+        ProtocolOutput::Coin(theta_schemes::cks05::combine(pk, name, &shares).unwrap())
+    }
+
+    #[test]
+    fn held_shares_are_never_decoded_on_the_happy_path() {
+        let mut r = rng();
+        let (pk, keys) = theta_schemes::cks05::keygen(ThresholdParams::new(1, 4).unwrap(), &mut r);
+        let mut me = OneRoundProtocol::new_pooled(Cks05Coin::new(keys[0].clone(), b"c".to_vec()));
+        let _ = me.do_round(&mut r).unwrap();
+        for msg in coin_msgs(&keys[1..], b"c", &mut r) {
+            me.update(&msg).unwrap();
+        }
+        // Own share plus party 2's completes quorum 2: parties 3 and 4
+        // are held, and only party 2's share is decoded and checked.
+        assert_eq!(me.share_count(), 2);
+        assert_eq!(me.held.len(), 2);
+        assert_eq!(settle_outbox(&mut me), 1);
+        let expected = honest_coin(&pk, &keys[..2], b"c", &mut r);
+        assert_eq!(me.finalize().unwrap(), expected);
+        let stats = me.stats();
+        assert_eq!((stats.cross_batched, stats.shares_unread), (1, 2));
+        assert!(me.held.is_empty(), "held shares are dropped at finalize");
+    }
+
+    #[test]
+    fn forged_share_among_first_quorum_finalizes_through_held_share() {
+        let mut r = rng();
+        let (pk, keys) = theta_schemes::cks05::keygen(ThresholdParams::new(1, 4).unwrap(), &mut r);
+        let mut me = OneRoundProtocol::new_pooled(Cks05Coin::new(keys[0].clone(), b"c".to_vec()));
+        let _ = me.do_round(&mut r).unwrap();
+        // Party 2's share is for another coin: it decodes, fills the
+        // quorum's last slot and fails its check.
+        me.update(&coin_msgs(&keys[1..2], b"other", &mut r)[0]).unwrap();
+        for msg in coin_msgs(&keys[2..], b"c", &mut r) {
+            me.update(&msg).unwrap();
+        }
+        assert_eq!(me.held.len(), 2);
+        assert_eq!(settle_outbox(&mut me), 1);
+        assert!(!me.is_ready_to_finalize());
+        assert_eq!(me.stats().shares_pruned, 1, "the forged share must be pruned");
+        // The prune promoted party 3's held share; its check settles.
+        assert_eq!(me.held.len(), 1);
+        assert_eq!(settle_outbox(&mut me), 1);
+        assert!(me.is_ready_to_finalize());
+        assert_eq!(me.finalize().unwrap(), honest_coin(&pk, &keys[2..], b"c", &mut r));
+        assert!(me.excluded.contains(&keys[1].id()));
+        assert_eq!(me.stats().shares_unread, 1);
+    }
+
+    #[test]
+    fn held_party_conflicting_resend_rejected_identical_is_noop() {
+        let mut r = rng();
+        let (_pk, keys) =
+            theta_schemes::cks05::keygen(ThresholdParams::new(1, 4).unwrap(), &mut r);
+        let mut me = OneRoundProtocol::new_pooled(Cks05Coin::new(keys[0].clone(), b"c".to_vec()));
+        let _ = me.do_round(&mut r).unwrap();
+        let first = coin_msgs(&keys[1..3], b"c", &mut r);
+        for msg in &first {
+            me.update(msg).unwrap();
+        }
+        // Party 3 is held. Its identical re-send changes nothing...
+        me.update(&first[1]).unwrap();
+        assert_eq!(me.held.len(), 1);
+        assert_eq!(me.take_pending_checks().len(), 1, "party 2's check only");
+        // ...but a second share version (fresh proof randomness) is
+        // rejected, as it is from party 2, whose verdict is pending.
+        let second = coin_msgs(&keys[1..3], b"c", &mut r);
+        assert!(matches!(me.update(&second[1]), Err(SchemeError::InvalidShare { party: 3 })));
+        assert!(matches!(me.update(&second[0]), Err(SchemeError::InvalidShare { party: 2 })));
+        assert_eq!(me.held.front().map(|(_, p)| p), Some(&first[1].payload));
+        assert!(me.take_pending_checks().is_empty());
+    }
+
+    #[test]
+    fn bad_held_share_is_excluded_on_promotion_and_the_next_promoted() {
+        let mut r = rng();
+        let (pk, keys) = theta_schemes::cks05::keygen(ThresholdParams::new(1, 5).unwrap(), &mut r);
+        let mut me = OneRoundProtocol::new_pooled(Cks05Coin::new(keys[0].clone(), b"c".to_vec()));
+        let _ = me.do_round(&mut r).unwrap();
+        let honest = coin_msgs(&keys[1..], b"c", &mut r);
+        let forged = coin_msgs(&keys[1..2], b"other", &mut r).remove(0);
+        me.update(&forged).unwrap();
+        // Held: party 3 garbled, party 4 carrying party 5's share, party 5.
+        me.update(&InboundMessage { sender: keys[2].id(), round: 1, payload: vec![7; 9] })
+            .unwrap();
+        me.update(&InboundMessage { sender: keys[3].id(), ..honest[3].clone() }).unwrap();
+        me.update(&honest[3]).unwrap();
+        assert_eq!(me.held.len(), 3);
+        // The forged share's prune promotes party 3 (undecodable) and
+        // party 4 (mis-attributed): both are excluded, party 5 admitted.
+        assert_eq!(settle_outbox(&mut me), 1);
+        assert!(me.held.is_empty());
+        assert_eq!(me.stats().shares_pruned, 3);
+        for party in [2, 3, 4] {
+            assert!(matches!(
+                me.update(&honest[party - 2]),
+                Err(SchemeError::InvalidShare { party: p }) if p == party as u16
+            ));
+        }
+        assert_eq!(settle_outbox(&mut me), 1);
+        let expected = honest_coin(&pk, &[keys[0].clone(), keys[4].clone()], b"c", &mut r);
+        assert_eq!(me.finalize().unwrap(), expected);
     }
 
     #[test]

@@ -97,37 +97,68 @@ impl DleqProof {
             }
             _ => {}
         }
-        // Per-instance challenges, then batch weights bound to the full
-        // transcript (every statement and every commitment).
+        // Each instance's points are encoded once: the same bytes feed
+        // its challenge and the batch weights' transcript (every
+        // statement and every commitment).
+        let encoded: Vec<[[u8; 32]; 6]> = instances.iter().map(DleqInstance::encoded).collect();
+        let challenges: Vec<Scalar> =
+            encoded.iter().map(|points| Self::challenge_encoded(domain, points)).collect();
+        let items: Vec<&[u8]> = encoded.iter().flatten().map(|p| p.as_slice()).collect();
+        Self::weighted_sum_is_identity(domain, &items, instances.iter().zip(&challenges))
+    }
+
+    /// Like [`DleqProof::verify_batch`], but every instance carries its
+    /// own Fiat–Shamir domain, so proofs from *different schemes* (SG02
+    /// decryption shares and CKS05 coin shares) fold into the same
+    /// multi-scalar multiplication. The per-instance challenge is always
+    /// derived with the instance's own domain — exactly the scalar an
+    /// individual [`DleqProof::verify`] would use — while the batch
+    /// weights are bound to a mixed-batch domain plus the full transcript
+    /// (domains, statements and commitments of every instance).
+    pub fn verify_batch_mixed(instances: &[(&str, DleqInstance<'_>)]) -> bool {
+        match instances.len() {
+            0 => return true,
+            1 => {
+                let (domain, i) = &instances[0];
+                return i.proof.verify(domain, i.g1, i.h1, i.g2, i.h2);
+            }
+            _ => {}
+        }
+        const D_MIXED: &str = "thetacrypt/dleq/mixed-batch/v1";
+        let encoded: Vec<[[u8; 32]; 6]> = instances.iter().map(|(_, i)| i.encoded()).collect();
         let challenges: Vec<Scalar> = instances
             .iter()
-            .map(|i| {
-                Self::challenge(domain, i.g1, i.h1, i.g2, i.h2, &i.proof.w1, &i.proof.w2)
-            })
+            .zip(&encoded)
+            .map(|((domain, _), points)| Self::challenge_encoded(domain, points))
             .collect();
-        let transcript: Vec<[u8; 32]> = instances
-            .iter()
-            .flat_map(|i| {
-                [
-                    i.g1.compress(),
-                    i.h1.compress(),
-                    i.g2.compress(),
-                    i.h2.compress(),
-                    i.proof.w1.compress(),
-                    i.proof.w2.compress(),
-                ]
-            })
-            .collect();
-        let items: Vec<&[u8]> = transcript.iter().map(|t| t.as_slice()).collect();
-        let seed = crate::hashing::hash_to_key(&format!("{domain}/batch-seed"), &items);
+        // Transcript: per instance, the domain (length-prefixed via its
+        // own item slot) then the six encoded points.
+        let mut items: Vec<&[u8]> = Vec::with_capacity(instances.len() * 7);
+        for ((domain, _), points) in instances.iter().zip(&encoded) {
+            items.push(domain.as_bytes());
+            items.extend(points.iter().map(|p| p.as_slice()));
+        }
+        let instances = instances.iter().map(|(_, i)| i);
+        Self::weighted_sum_is_identity(D_MIXED, &items, instances.zip(&challenges))
+    }
+
+    /// The batch equation of [`DleqProof::verify_batch`]: weights derived
+    /// under `weight_domain` from the transcript `items`, one MSM over
+    /// every instance's six points, with `e` each instance's challenge.
+    fn weighted_sum_is_identity<'a, 'b: 'a>(
+        weight_domain: &str,
+        items: &[&[u8]],
+        instances: impl ExactSizeIterator<Item = (&'a DleqInstance<'b>, &'a Scalar)>,
+    ) -> bool {
+        let seed = crate::hashing::hash_to_key(&format!("{weight_domain}/batch-seed"), items);
         let mut points = Vec::with_capacity(instances.len() * 6);
         let mut scalars = Vec::with_capacity(instances.len() * 6);
-        for (idx, (inst, e)) in instances.iter().zip(&challenges).enumerate() {
+        for (idx, (inst, e)) in instances.enumerate() {
             let idx_bytes = (idx as u64).to_le_bytes();
-            let r =
-                hash_to_ed25519_scalar(&format!("{domain}/batch-r"), &[&seed, &idx_bytes]);
-            let s =
-                hash_to_ed25519_scalar(&format!("{domain}/batch-s"), &[&seed, &idx_bytes]);
+            let weight = |tag: &str| {
+                hash_to_ed25519_scalar(&format!("{weight_domain}/{tag}"), &[&seed, &idx_bytes])
+            };
+            let (r, s) = (weight("batch-r"), weight("batch-s"));
             let z = &inst.proof.response;
             // r_i·z_i · g1 − r_i·e_i · h1 − r_i · w1
             points.push(*inst.g1);
@@ -149,78 +180,6 @@ impl DleqProof {
         msm::msm(&points, &scalar_refs).is_identity()
     }
 
-    /// Like [`DleqProof::verify_batch`], but every instance carries its
-    /// own Fiat–Shamir domain, so proofs from *different schemes* (SG02
-    /// decryption shares and CKS05 coin shares) fold into the same
-    /// multi-scalar multiplication. The per-instance challenge is always
-    /// derived with the instance's own domain — exactly the scalar an
-    /// individual [`DleqProof::verify`] would use — while the batch
-    /// weights are bound to a mixed-batch domain plus the full transcript
-    /// (domains, statements and commitments of every instance).
-    pub fn verify_batch_mixed(instances: &[(&str, DleqInstance<'_>)]) -> bool {
-        match instances.len() {
-            0 => return true,
-            1 => {
-                let (domain, i) = &instances[0];
-                return i.proof.verify(domain, i.g1, i.h1, i.g2, i.h2);
-            }
-            _ => {}
-        }
-        const D_MIXED: &str = "thetacrypt/dleq/mixed-batch/v1";
-        let challenges: Vec<Scalar> = instances
-            .iter()
-            .map(|(domain, i)| {
-                Self::challenge(domain, i.g1, i.h1, i.g2, i.h2, &i.proof.w1, &i.proof.w2)
-            })
-            .collect();
-        // Transcript: per instance, the domain (length-prefixed via its
-        // own item slot) then the six compressed points.
-        let compressed: Vec<[u8; 32]> = instances
-            .iter()
-            .flat_map(|(_, i)| {
-                [
-                    i.g1.compress(),
-                    i.h1.compress(),
-                    i.g2.compress(),
-                    i.h2.compress(),
-                    i.proof.w1.compress(),
-                    i.proof.w2.compress(),
-                ]
-            })
-            .collect();
-        let mut items: Vec<&[u8]> = Vec::with_capacity(instances.len() * 7);
-        for (idx, (domain, _)) in instances.iter().enumerate() {
-            items.push(domain.as_bytes());
-            items.extend(compressed[idx * 6..idx * 6 + 6].iter().map(|c| c.as_slice()));
-        }
-        let seed = crate::hashing::hash_to_key(&format!("{D_MIXED}/batch-seed"), &items);
-        let mut points = Vec::with_capacity(instances.len() * 6);
-        let mut scalars = Vec::with_capacity(instances.len() * 6);
-        for (idx, ((_, inst), e)) in instances.iter().zip(&challenges).enumerate() {
-            let idx_bytes = (idx as u64).to_le_bytes();
-            let r =
-                hash_to_ed25519_scalar(&format!("{D_MIXED}/batch-r"), &[&seed, &idx_bytes]);
-            let s =
-                hash_to_ed25519_scalar(&format!("{D_MIXED}/batch-s"), &[&seed, &idx_bytes]);
-            let z = &inst.proof.response;
-            points.push(*inst.g1);
-            scalars.push(r.mul(z));
-            points.push(*inst.h1);
-            scalars.push(r.mul(e).neg());
-            points.push(inst.proof.w1);
-            scalars.push(r.neg());
-            points.push(*inst.g2);
-            scalars.push(s.mul(z));
-            points.push(*inst.h2);
-            scalars.push(s.mul(e).neg());
-            points.push(inst.proof.w2);
-            scalars.push(s.neg());
-        }
-        let scalar_refs: Vec<&theta_math::BigUint> =
-            scalars.iter().map(|s| s.to_biguint()).collect();
-        msm::msm(&points, &scalar_refs).is_identity()
-    }
-
     fn challenge(
         domain: &str,
         g1: &Point,
@@ -230,17 +189,22 @@ impl DleqProof {
         w1: &Point,
         w2: &Point,
     ) -> Scalar {
-        hash_to_ed25519_scalar(
-            domain,
-            &[
-                &g1.compress(),
-                &h1.compress(),
-                &g2.compress(),
-                &h2.compress(),
-                &w1.compress(),
-                &w2.compress(),
-            ],
-        )
+        Self::challenge_encoded(domain, &[g1, h1, g2, h2, w1, w2].map(Point::compress))
+    }
+
+    /// The Fiat–Shamir challenge over a statement and its commitments
+    /// already encoded by [`DleqInstance::encoded`].
+    fn challenge_encoded(domain: &str, points: &[[u8; 32]; 6]) -> Scalar {
+        let items: [&[u8]; 6] = points.each_ref().map(|p| p.as_slice());
+        hash_to_ed25519_scalar(domain, &items)
+    }
+}
+
+impl DleqInstance<'_> {
+    /// The six points in transcript order — `g1, h1, g2, h2, w1, w2` —
+    /// each encoded once.
+    fn encoded(&self) -> [[u8; 32]; 6] {
+        [self.g1, self.h1, self.g2, self.h2, &self.proof.w1, &self.proof.w2].map(Point::compress)
     }
 }
 
@@ -384,6 +348,26 @@ mod tests {
         let decoded = DleqProof::decoded(&proof.encoded()).unwrap();
         assert_eq!(decoded, proof);
         assert!(decoded.verify("test/dleq", &g1, &h1, &g2, &h2));
+    }
+
+    #[test]
+    fn encoded_challenge_matches_challenge() {
+        let mut r = rng();
+        for _ in 0..5 {
+            let (g1, h1, g2, h2, x) = statement(&mut r);
+            let proof = DleqProof::prove("test/dleq", &g1, &h1, &g2, &h2, &x, &mut r);
+            let inst = DleqInstance { g1: &g1, h1: &h1, g2: &g2, h2: &h2, proof: &proof };
+            let (w1, w2) = (&proof.w1, &proof.w2);
+            // The transcript as the proof format defines it: the six
+            // points in order, each compressed.
+            let reference = hash_to_ed25519_scalar(
+                "test/dleq",
+                &[g1, h1, g2, h2, *w1, *w2].map(|p| p.compress()).each_ref().map(|p| &p[..]),
+            );
+            let batched = DleqProof::challenge_encoded("test/dleq", &inst.encoded());
+            assert_eq!(batched, reference);
+            assert_eq!(DleqProof::challenge("test/dleq", &g1, &h1, &g2, &h2, w1, w2), reference);
+        }
     }
 
     #[test]
