@@ -43,7 +43,6 @@ fn usage() -> ! {
            list-keys <tenant>          the tenant's keys (name + scheme)\n\
            seal-open <scheme> <msg>    encrypt via scheme API, decrypt via protocol API (sg02|bz03)\n\
            pubkey <scheme>             fetch a public key (hex)\n\
-           stats                       event-loop counters of the node\n\
            metrics                     Prometheus text exposition of the node's metrics\n\
            health                      SLO watchdog verdict (ready/degraded + reasons)\n\
            trace <instance-hex>        lifecycle trace of one protocol instance\n\
@@ -199,10 +198,6 @@ fn main() {
             let scheme = SchemeId::from_name(&rest[1]).unwrap_or_else(|| usage());
             let pk = client.public_key(scheme).expect("public key");
             println!("{}", theta_primitives::to_hex(&pk));
-        }
-        "stats" if rest.len() == 1 => {
-            let s = client.node_stats().expect("node stats");
-            println!("{s:#?}");
         }
         "metrics" if rest.len() == 1 => {
             // Raw Prometheus text — pipeable straight into promtool or a

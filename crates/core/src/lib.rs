@@ -414,16 +414,6 @@ impl ThetaNetwork {
         &self.nodes[id as usize - 1]
     }
 
-    /// Event-loop counters of node `id` (1-based): wakeups, events,
-    /// retries, cache evictions and instance lifecycle tallies.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is outside `1..=n`.
-    pub fn node_counters(&self, id: u16) -> theta_metrics::EventLoopSnapshot {
-        self.node(id).counters()
-    }
-
     /// Full observability bundle of node `id` (1-based): metrics registry,
     /// trace journal and per-phase latency histograms.
     ///
@@ -617,12 +607,17 @@ mod tests {
         assert!(
             <theta_schemes::bls04::PublicKey as theta_codec::Decode>::decoded(&pk_bytes).is_ok()
         );
-        // Node-stats endpoint reflects the two protocol runs above and
-        // matches the in-process counter view.
-        let stats = client.node_stats().unwrap();
-        assert_eq!(stats.instances_started, 2);
-        assert_eq!(stats.instances_completed, 2);
-        assert_eq!(stats.instances_timed_out, 0);
-        assert_eq!(stats, net.node_counters(1));
+        // The metrics endpoint reflects the two protocol runs above and
+        // matches the in-process registry.
+        let text = client.metrics().unwrap();
+        let registry = &net.node_observability(1).registry;
+        for (name, expected) in [
+            ("theta_instances_started_total", 2),
+            ("theta_instances_completed_total", 2),
+            ("theta_instances_timed_out_total", 0),
+        ] {
+            assert!(text.contains(&format!("\n{name} {expected}\n")), "{name} != {expected}");
+            assert_eq!(registry.counter_value(name, &[]), Some(expected));
+        }
     }
 }

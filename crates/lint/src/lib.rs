@@ -33,22 +33,29 @@ pub mod report;
 pub mod symbols;
 pub mod taint;
 
-/// Types whose values are secret material. Shared by the per-type
-/// hygiene lint (`theta-lint` binary) and the interprocedural taint
-/// pass.
+/// Types whose values are secret material, wherever they are defined.
+/// Shared by the per-type hygiene lint (`theta-lint` binary) and the
+/// interprocedural taint pass.
 pub const SECRET_TYPE_NAMES: &[&str] = &[
     "KeyShare",
     "DealtShare",
     "DkgOutput",
     "SigningNonce",
+    // Transport handshake secrets (crates/network/src/handshake.rs):
+    // the static-identity seed/scalar and the per-direction AEAD
+    // session keys derived by the Noise-IK handshake.
     "IdentitySeed",
     "StaticIdentity",
     "SendCipher",
     "RecvCipher",
+    // The keystore's storage key (crates/core/src/keymanager.rs): the
+    // HKDF-derived symmetric key sealing tenant key shares at rest.
     "KeystoreKey",
 ];
 
 /// Field names that carry secret scalars/bytes regardless of the
-/// enclosing type's name.
+/// enclosing type's name: they mark their owning struct as
+/// secret-bearing, and their direct comparison with `==`/`!=` is flagged
+/// anywhere.
 pub const SECRET_FIELDS: &[&str] =
     &["x_i", "s_i", "secret", "secret_share", "secret_key", "private_key"];

@@ -33,29 +33,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// Types that are secret-bearing by name, wherever they are defined.
-const SECRET_TYPE_NAMES: &[&str] = &[
-    "KeyShare",
-    "DealtShare",
-    "DkgOutput",
-    "SigningNonce",
-    // Transport handshake secrets (crates/network/src/handshake.rs):
-    // the static-identity seed/scalar and the per-direction AEAD
-    // session keys derived by the Noise-IK handshake.
-    "IdentitySeed",
-    "StaticIdentity",
-    "SendCipher",
-    "RecvCipher",
-    // The keystore's storage key (crates/core/src/keymanager.rs): the
-    // HKDF-derived symmetric key sealing tenant key shares at rest.
-    "KeystoreKey",
-];
-
-/// Field names that mark their owning struct as secret-bearing, and
-/// whose direct comparison with `==`/`!=` is flagged anywhere.
-const SECRET_FIELDS: &[&str] =
-    &["x_i", "s_i", "secret", "secret_share", "secret_key", "private_key"];
+use theta_lint::{SECRET_FIELDS, SECRET_TYPE_NAMES};
 
 /// `(file name, type name)` pairs exempt from classification, each with
 /// a reason. Keep this list short and justified.

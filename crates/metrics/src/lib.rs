@@ -12,14 +12,12 @@
 //! - throughput with the paper's 10 % grace-period rule, and
 //! - knee-capacity detection (rate maximizing throughput/latency).
 
-pub mod counters;
 pub mod histogram;
 pub mod observability;
 pub mod profiler;
 pub mod registry;
 pub mod trace;
 
-pub use counters::{EventLoopCounters, EventLoopSnapshot};
 pub use histogram::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use observability::{NodeObservability, PhaseTimers, PoolMetrics};
 pub use profiler::{PhaseScope, WorkerPhase, WorkerPhases, WORKER_PHASE_HISTOGRAM};

@@ -1,9 +1,10 @@
 //! Per-node observability bundle: the metrics registry, the trace
-//! journal, the event-loop counters and the four per-phase latency
-//! histograms, wired together so every layer of a node shares one
-//! clone-able handle.
+//! journal and the four per-phase latency histograms, wired together so
+//! every layer of a node shares one clone-able handle. Every counter a
+//! node keeps (the router's event-loop counters included) lives in the
+//! registry, and [`NodeObservability::render_prometheus`] is the one
+//! place they are rendered.
 
-use crate::counters::EventLoopCounters;
 use crate::histogram::Histogram;
 use crate::profiler::WorkerPhases;
 use crate::registry::{Counter, Gauge, MetricsRegistry};
@@ -147,8 +148,6 @@ pub struct NodeObservability {
     pub registry: Arc<MetricsRegistry>,
     /// Bounded ring buffer of per-instance lifecycle events.
     pub journal: Arc<TraceJournal>,
-    /// The PR-1 event-loop counters, kept for `GetNodeStats`.
-    pub counters: Arc<EventLoopCounters>,
     /// Fast handles to the four per-phase histograms.
     pub phases: PhaseTimers,
 }
@@ -172,30 +171,15 @@ impl NodeObservability {
         NodeObservability {
             registry,
             journal: Arc::new(TraceJournal::default()),
-            counters: Arc::new(EventLoopCounters::new()),
             phases,
         }
     }
 
     /// Renders everything the node knows about itself in the Prometheus
     /// text exposition format: the registry (counters, gauges, phase
-    /// histograms) followed by the event-loop counters and the trace
-    /// journal's own health gauges.
+    /// histograms) followed by the trace journal's own health gauges.
     pub fn render_prometheus(&self) -> String {
         let mut out = self.registry.render_prometheus();
-        let c = self.counters.snapshot();
-        for (name, value) in [
-            ("theta_event_loop_wakeups_total", c.wakeups),
-            ("theta_event_loop_events_total", c.events_processed),
-            ("theta_event_loop_commands_total", c.commands_processed),
-            ("theta_event_loop_retries_total", c.retries_sent),
-            ("theta_event_loop_cache_evictions_total", c.cache_evictions),
-            ("theta_instances_started_total", c.instances_started),
-            ("theta_instances_completed_total", c.instances_completed),
-            ("theta_instances_timed_out_total", c.instances_timed_out),
-        ] {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
-        }
         out.push_str(&format!(
             "# TYPE theta_trace_journal_events gauge\ntheta_trace_journal_events {}\n",
             self.journal.len()
@@ -218,7 +202,7 @@ mod tests {
     fn bundle_renders_phases_counters_and_journal_health() {
         let obs = NodeObservability::new();
         obs.phases.e2e.record(Duration::from_millis(12));
-        EventLoopCounters::bump(&obs.counters.instances_started);
+        obs.registry.counter("theta_instances_started_total").inc();
         obs.journal.record([7u8; 32], TraceEventKind::InstanceStarted);
         let text = obs.render_prometheus();
         assert!(text.contains("# TYPE theta_e2e_seconds histogram"));

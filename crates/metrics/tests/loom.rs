@@ -2,14 +2,14 @@
 //!
 //! Run with `cargo test -p theta-metrics --features loom`. These pin
 //! down the documented `Relaxed` contract of the histogram and the
-//! event-loop counters: every concurrently observed cell is bounded by
+//! registry counter: every concurrently observed cell is bounded by
 //! its true final value (per-cell monotonicity — no torn or
 //! out-of-thin-air counts), and once writers join, a snapshot is exact.
 
 #![cfg(feature = "loom")]
 
 use std::sync::Arc;
-use theta_metrics::{EventLoopCounters, Histogram};
+use theta_metrics::{Counter, Histogram};
 use theta_sync::{model, model_bounded, thread};
 
 /// Sanity: these tests are meaningless against the std passthrough.
@@ -72,8 +72,8 @@ fn histogram_snapshots_are_bounded_and_monotone() {
     });
 }
 
-/// Two threads bump the same event-loop counter; a concurrent snapshot
-/// is bounded by the true total, and the post-join snapshot is exact —
+/// Two threads bump the same pair of registry counters; a concurrent
+/// read is bounded by the true total, and the post-join read is exact —
 /// relaxed increments are never lost.
 #[test]
 fn counter_increments_are_never_lost() {
@@ -82,24 +82,25 @@ fn counter_increments_are_never_lost() {
     // (a lost increment, a torn observation) already appear with one
     // preemption.
     model(|| {
-        let c = Arc::new(EventLoopCounters::new());
+        let wakeups = Arc::new(Counter::default());
+        let events = Arc::new(Counter::default());
 
         let writers: Vec<_> = (0..2)
             .map(|_| {
-                let c = c.clone();
+                let (wakeups, events) = (wakeups.clone(), events.clone());
                 thread::spawn(move || {
-                    EventLoopCounters::bump(&c.wakeups);
-                    EventLoopCounters::add(&c.events_processed, 3);
+                    wakeups.inc();
+                    events.add(3);
                 })
             })
             .collect();
         let observer = {
-            let c = c.clone();
+            let (wakeups, events) = (wakeups.clone(), events.clone());
             thread::spawn(move || {
-                let s = c.snapshot();
-                assert!(s.wakeups <= 2, "wakeups over-counted: {}", s.wakeups);
-                assert!(s.events_processed <= 6);
-                assert_eq!(s.events_processed % 3, 0, "torn add observed");
+                let (w, e) = (wakeups.get(), events.get());
+                assert!(w <= 2, "wakeups over-counted: {w}");
+                assert!(e <= 6);
+                assert_eq!(e % 3, 0, "torn add observed");
             })
         };
 
@@ -108,8 +109,7 @@ fn counter_increments_are_never_lost() {
         }
         observer.join().unwrap();
 
-        let s = c.snapshot();
-        assert_eq!(s.wakeups, 2, "an increment was lost");
-        assert_eq!(s.events_processed, 6);
+        assert_eq!(wakeups.get(), 2, "an increment was lost");
+        assert_eq!(events.get(), 6);
     });
 }

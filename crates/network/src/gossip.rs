@@ -167,7 +167,7 @@ fn dial_with_retry(addr: SocketAddr) -> Result<TcpStream, NetworkError> {
 
 /// Link-health tallies accumulated before (and after) a registry is
 /// attached; the pre-attach values are transferred into the registry
-/// counters at attach time, mirroring `connects_established`.
+/// counters at attach time.
 #[derive(Default)]
 struct LinkHealth {
     send_errors: AtomicU64,
@@ -207,7 +207,6 @@ struct GossipShared {
     msg_counter: AtomicU64,
     /// Sequencer state (used only on node 1's demux thread).
     tob_seq: AtomicU64,
-    connects_established: AtomicU64,
     health: LinkHealth,
     metrics: OnceLock<GossipMetrics>,
     /// Estimated wall-clock offset to each node (µs to *add* to our
@@ -445,24 +444,22 @@ impl GossipMesh {
             });
             offsets[peer as usize - 1] = offset;
         }
-        let connects = links.len() as u64;
         // A sparse plan reaches fewer than n-1 peers (`plan_links` turns
         // any plan reaching all of them into the complete graph), so the
         // link count tells the two graphs apart.
         let complete = links.len() + 1 == n;
+        let handshakes = AtomicU64::new(links.len() as u64);
         let shared = Arc::new(GossipShared {
             links,
             id,
             complete,
             msg_counter: AtomicU64::new(0),
             tob_seq: AtomicU64::new(0),
-            connects_established: AtomicU64::new(connects),
-            health: LinkHealth::default(),
+            health: LinkHealth { handshakes, ..LinkHealth::default() },
             metrics: OnceLock::new(),
             clock_offsets: offsets.into_iter().map(AtomicI64::new).collect(),
             journal: OnceLock::new(),
         });
-        shared.health.handshakes.store(connects, Ordering::Relaxed);
         for (stream, idx, peer, recv) in readers {
             spawn_link_reader(stream, idx, peer, recv, raw_tx.clone(), shared.clone());
         }
@@ -912,9 +909,6 @@ impl Network for GossipMeshNode {
             duplicates: registry.counter("theta_gossip_duplicates_total"),
         };
         registry
-            .counter("theta_net_connects_total")
-            .add(self.shared.connects_established.load(Ordering::Relaxed));
-        registry
             .counter("theta_net_handshakes_total")
             .add(self.shared.health.handshakes.load(Ordering::Relaxed));
         metrics
@@ -1339,7 +1333,6 @@ mod tests {
         let mut nodes = build_gossip(4, 0, 30);
         let registry = Arc::new(theta_metrics::MetricsRegistry::new());
         nodes[0].attach_registry(&registry); // node 1 only
-        assert_eq!(counter(&registry, "theta_net_connects_total"), 3);
         assert_eq!(counter(&registry, "theta_net_handshakes_total"), 3);
         let sent = |peer: &str| {
             registry.counter_value("theta_net_messages_sent_total", &[("peer", peer)]).unwrap()

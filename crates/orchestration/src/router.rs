@@ -36,10 +36,9 @@ use std::sync::Arc;
 use theta_sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use theta_codec::Decode;
-use theta_metrics::counters::EventLoopCounters;
 use theta_metrics::registry::{Counter, MetricsRegistry};
 use theta_metrics::trace::TraceEventKind;
-use theta_metrics::{EventLoopSnapshot, NodeObservability, PoolMetrics};
+use theta_metrics::{NodeObservability, PoolMetrics};
 use theta_network::{demux, Network, NetworkEvent};
 use theta_protocols::kg20_protocol::Kg20Sign;
 use theta_protocols::one_round::{
@@ -399,11 +398,6 @@ impl NodeHandle {
         self.party
     }
 
-    /// Point-in-time view of the event-loop counters.
-    pub fn counters(&self) -> EventLoopSnapshot {
-        self.obs.counters.snapshot()
-    }
-
     /// The node's observability bundle (metrics registry, trace journal,
     /// phase histograms) — what the service layer exposes over RPC.
     pub fn observability(&self) -> Arc<NodeObservability> {
@@ -474,13 +468,17 @@ pub fn spawn_node_with_keys(
         .counter(theta_metrics::observability::OVERLOAD_REJECTIONS_COUNTER);
     let queue_capacity = config.submission_queue_capacity;
     let drain = config.shutdown_drain;
+    // Resolved before the router thread starts, so the router's counters
+    // are in the node's exposition from the moment this returns.
+    let metrics = RouterMetrics::resolve(&obs.registry);
     let thread_obs = obs.clone();
     let thread_depth = queue_depth.clone();
     let inbox_tx = tx.clone();
     let join = std::thread::Builder::new()
         .name(format!("theta-router-{}", party.value()))
         .spawn(move || {
-            Router::new(keys, network, config, rx, inbox_tx, thread_obs, thread_depth).run()
+            Router::new(keys, network, config, rx, inbox_tx, thread_obs, metrics, thread_depth)
+                .run()
         })
         .expect("spawn router thread");
     NodeHandle {
@@ -524,6 +522,25 @@ struct RouterMetrics {
     eager_verifies: Arc<Counter>,
     shares_cross_batched: Arc<Counter>,
     shares_unread: Arc<Counter>,
+    /// Returns from the router's blocking inbox wait — for a message or
+    /// at its earliest deadline (instance expiry, P2P retry, batch age
+    /// flush). One per loop iteration, each at most one thread wakeup;
+    /// an idle router with no pending deadline adds none.
+    wakeups: Arc<Counter>,
+    /// Network events (P2P + TOB deliveries) handled.
+    events_processed: Arc<Counter>,
+    /// Local submissions handled.
+    commands_processed: Arc<Counter>,
+    /// P2P messages re-broadcast by the retry/backoff machinery.
+    retries_sent: Arc<Counter>,
+    /// Entries evicted from the bounded result cache (capacity or TTL).
+    cache_evictions: Arc<Counter>,
+    /// Protocol instances started at this node.
+    instances_started: Arc<Counter>,
+    /// Instances finished (success or failure, incl. timeouts).
+    instances_completed: Arc<Counter>,
+    /// Instances that hit their deadline before reaching quorum.
+    instances_timed_out: Arc<Counter>,
 }
 
 impl RouterMetrics {
@@ -542,6 +559,14 @@ impl RouterMetrics {
             eager_verifies: registry.counter("theta_share_verifications_eager_total"),
             shares_cross_batched: registry.counter("theta_shares_cross_batched_total"),
             shares_unread: registry.counter("theta_shares_unread_total"),
+            wakeups: registry.counter("theta_event_loop_wakeups_total"),
+            events_processed: registry.counter("theta_event_loop_events_total"),
+            commands_processed: registry.counter("theta_event_loop_commands_total"),
+            retries_sent: registry.counter("theta_event_loop_retries_total"),
+            cache_evictions: registry.counter("theta_event_loop_cache_evictions_total"),
+            instances_started: registry.counter("theta_instances_started_total"),
+            instances_completed: registry.counter("theta_instances_completed_total"),
+            instances_timed_out: registry.counter("theta_instances_timed_out_total"),
         }
     }
 }
@@ -594,7 +619,6 @@ struct Router {
     expiry_heap: BinaryHeap<Reverse<(Instant, InstanceId)>>,
     /// Min-heap of `(retry-due, id)`, same lazy-validation discipline.
     retry_heap: BinaryHeap<Reverse<(Instant, InstanceId)>>,
-    counters: Arc<EventLoopCounters>,
     obs: Arc<NodeObservability>,
     metrics: RouterMetrics,
     pool_metrics: PoolMetrics,
@@ -610,6 +634,7 @@ struct Router {
 }
 
 impl Router {
+    #[allow(clippy::too_many_arguments)] // construction site is single; a builder would be noise
     fn new(
         keys: Box<dyn KeyProvider>,
         network: Box<dyn Network>,
@@ -617,6 +642,7 @@ impl Router {
         inbox: Receiver<RouterMsg>,
         inbox_tx: Sender<RouterMsg>,
         obs: Arc<NodeObservability>,
+        metrics: RouterMetrics,
         queue_depth: Arc<AtomicUsize>,
     ) -> Self {
         let rng = match config.rng_seed {
@@ -624,7 +650,6 @@ impl Router {
             None => rand::rngs::StdRng::from_entropy(),
         };
         let finished = ResultCache::new(config.result_cache_capacity, config.result_cache_ttl);
-        let metrics = RouterMetrics::resolve(&obs.registry);
         let workers = resolve_worker_threads(config.worker_threads);
         let pool_metrics = PoolMetrics::register(&obs.registry, workers);
         let wake_tx = inbox_tx.clone();
@@ -646,7 +671,6 @@ impl Router {
             finished,
             expiry_heap: BinaryHeap::new(),
             retry_heap: BinaryHeap::new(),
-            counters: obs.counters.clone(),
             obs,
             metrics,
             pool_metrics,
@@ -695,7 +719,7 @@ impl Router {
             // Stamped when the wait returns, so blocked time is excluded
             // and the router-busy counter measures the serial stage alone.
             let work_start = Instant::now();
-            EventLoopCounters::bump(&self.counters.wakeups);
+            self.metrics.wakeups.inc();
             let mut stop = match first {
                 Ok(msg) => self.handle(msg),
                 Err(RecvTimeoutError::Timeout) => None,
@@ -734,7 +758,7 @@ impl Router {
                 self.pool_metrics
                     .submission_queue_depth
                     .set(self.queue_depth.load(Ordering::SeqCst) as i64);
-                EventLoopCounters::bump(&self.counters.commands_processed);
+                self.metrics.commands_processed.inc();
                 self.handle_submit(request, reply);
             }
             RouterMsg::Shutdown { drain } => return Some(drain),
@@ -742,7 +766,7 @@ impl Router {
             RouterMsg::Net(event) => {
                 // Counted *before* handling — completions notify
                 // subscribers who may read the counters.
-                EventLoopCounters::bump(&self.counters.events_processed);
+                self.metrics.events_processed.inc();
                 self.handle_network_event(event);
             }
             // The loop re-reads the aggregator's deadline next.
@@ -957,7 +981,7 @@ impl Router {
         self.pool_metrics.inflight_instances.set(self.instances.len() as i64);
         // Counter and journal stay in lockstep: every counted start has
         // an `InstanceStarted` journal entry and vice versa.
-        EventLoopCounters::bump(&self.counters.instances_started);
+        self.metrics.instances_started.inc();
         self.obs.journal.record(id.0, TraceEventKind::InstanceStarted);
         // A fresh mailbox can always take its Start message.
         let scheduled =
@@ -1122,7 +1146,7 @@ impl Router {
         let result = InstanceResult { instance: id, outcome, elapsed: entry.started.elapsed() };
         // Account and cache *before* notifying: a subscriber thread may
         // inspect counters the moment its result arrives.
-        EventLoopCounters::bump(&self.counters.instances_completed);
+        self.metrics.instances_completed.inc();
         // The e2e histogram records *every* finish (success, failure,
         // timeout), mirroring `instances_completed` semantics.
         self.obs.phases.e2e.record(result.elapsed);
@@ -1135,7 +1159,7 @@ impl Router {
             ),
         }
         let evicted = self.finished.insert(id, result.clone(), Instant::now());
-        EventLoopCounters::add(&self.counters.cache_evictions, evicted);
+        self.metrics.cache_evictions.add(evicted);
         for sub in entry.subscribers {
             if sub.deliver(result.clone()).is_err() {
                 self.note_error(
@@ -1163,7 +1187,7 @@ impl Router {
             if !still_live {
                 continue; // finished already, or a stale entry
             }
-            EventLoopCounters::bump(&self.counters.instances_timed_out);
+            self.metrics.instances_timed_out.inc();
             self.obs.journal.record(id.0, TraceEventKind::InstanceTimedOut);
             // The host may still hold the protocol; closing the mailbox
             // (in finish) makes the worker drop it. A late Finished
@@ -1205,7 +1229,7 @@ impl Router {
             }
             for bytes in resend {
                 self.network.broadcast_p2p(bytes);
-                EventLoopCounters::bump(&self.counters.retries_sent);
+                self.metrics.retries_sent.inc();
             }
             self.retry_heap.push(Reverse((next, id)));
         }
@@ -1264,6 +1288,11 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(15);
 
+    /// Current value of one of the node's unlabelled registry counters.
+    fn counter(h: &NodeHandle, name: &str) -> u64 {
+        h.observability().registry.counter_value(name, &[]).expect("counter registered")
+    }
+
     #[test]
     fn coin_request_end_to_end() {
         let mut r = seeded();
@@ -1283,11 +1312,10 @@ mod tests {
         }
         // Every node started, completed and accounted for the instance.
         for h in &handles {
-            let c = h.counters();
-            assert_eq!(c.instances_started, 1);
-            assert_eq!(c.instances_completed, 1);
-            assert_eq!(c.instances_timed_out, 0);
-            assert!(c.events_processed >= 1);
+            assert_eq!(counter(h, "theta_instances_started_total"), 1);
+            assert_eq!(counter(h, "theta_instances_completed_total"), 1);
+            assert_eq!(counter(h, "theta_instances_timed_out_total"), 0);
+            assert!(counter(h, "theta_event_loop_events_total") >= 1);
         }
     }
 
@@ -1415,7 +1443,7 @@ mod tests {
             }
             other => panic!("expected the timeout error, got {other:?}"),
         }
-        assert_eq!(handles[0].counters().instances_timed_out, 1);
+        assert_eq!(counter(&handles[0], "theta_instances_timed_out_total"), 1);
     }
 
     #[test]
@@ -1425,9 +1453,9 @@ mod tests {
         let (_hub, mut nets) = build_network(1);
         let handle = spawn_node(KeyChest::new(), nets.pop().unwrap(), NodeConfig::default());
         std::thread::sleep(Duration::from_millis(200));
-        let before = handle.counters().wakeups;
+        let before = counter(&handle, "theta_event_loop_wakeups_total");
         std::thread::sleep(Duration::from_millis(500));
-        let after = handle.counters().wakeups;
+        let after = counter(&handle, "theta_event_loop_wakeups_total");
         assert!(
             after - before <= 2,
             "idle loop woke {} times in 500 ms",
@@ -1465,9 +1493,12 @@ mod tests {
             .wait_timeout(WAIT)
             .expect("fresh re-run after eviction");
         assert_eq!(first.outcome.unwrap(), again.outcome.unwrap());
-        let c = handle.counters();
-        assert_eq!(c.instances_started, 3, "evicted result must be recomputed");
-        assert!(c.cache_evictions >= 2);
+        assert_eq!(
+            counter(&handle, "theta_instances_started_total"),
+            3,
+            "evicted result must be recomputed"
+        );
+        assert!(counter(&handle, "theta_event_loop_cache_evictions_total") >= 2);
     }
 
     #[test]
@@ -1488,7 +1519,11 @@ mod tests {
             .wait_timeout(WAIT)
             .expect("cache hit");
         assert_eq!(first.outcome.unwrap(), again.outcome.unwrap());
-        assert_eq!(handle.counters().instances_started, 1, "second submit is a cache hit");
+        assert_eq!(
+            counter(&handle, "theta_instances_started_total"),
+            1,
+            "second submit is a cache hit"
+        );
     }
 
     #[test]
@@ -1517,7 +1552,7 @@ mod tests {
         injector.submit_tob(spoofed.encoded());
         std::thread::sleep(Duration::from_millis(300));
         assert_eq!(
-            handle.counters().instances_started,
+            counter(&handle, "theta_instances_started_total"),
             0,
             "spoofed TOB envelope must not start an instance"
         );
@@ -1532,7 +1567,7 @@ mod tests {
         };
         injector.submit_tob(honest.encoded());
         std::thread::sleep(Duration::from_millis(300));
-        assert_eq!(handle.counters().instances_started, 1);
+        assert_eq!(counter(&handle, "theta_instances_started_total"), 1);
     }
 
     #[test]
@@ -1568,7 +1603,7 @@ mod tests {
         let result = pending.wait_timeout(WAIT).expect("completion after heal");
         assert!(result.outcome.is_ok());
         assert!(
-            handles[0].counters().retries_sent >= 1,
+            counter(&handles[0], "theta_event_loop_retries_total") >= 1,
             "node 1 must have re-broadcast its share"
         );
     }

@@ -213,19 +213,6 @@ impl RpcClient {
         }
     }
 
-    /// Observability: snapshot of the serving node's event-loop counters.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, or an unexpected response kind.
-    pub fn node_stats(&mut self) -> Result<theta_metrics::EventLoopSnapshot, RpcError> {
-        match self.call(RpcRequest::GetNodeStats)? {
-            RpcResponse::NodeStats(s) => Ok(s),
-            RpcResponse::Error(msg) => Err(RpcError::Server(msg)),
-            _ => Err(RpcError::UnexpectedResponse),
-        }
-    }
-
     /// Observability: the node's metrics registry rendered as Prometheus
     /// text exposition.
     ///
@@ -375,7 +362,7 @@ mod tests {
         });
         let start = std::time::Instant::now();
         let mut client = RpcClient::connect(addr, Duration::from_millis(300)).unwrap();
-        let err = client.node_stats();
+        let err = client.metrics();
         assert!(
             matches!(err, Err(RpcError::Io(_))),
             "expected an i/o timeout, got {err:?}"

@@ -597,8 +597,8 @@ impl EventLoop {
             let frame = match Frame::<RpcRequest>::decoded(body) {
                 Ok(f) => f,
                 Err(_) => {
-                    // Malformed request: counted, then drop the
-                    // connection, matching the blocking server.
+                    // Malformed request (a retired or unknown tag
+                    // included): counted, then drop the connection.
                     self.frame_errors.inc();
                     conn.dead = true;
                     break;

@@ -89,8 +89,6 @@ pub enum RpcRequest {
         /// Encoded signature.
         signature: Vec<u8>,
     },
-    /// Observability: snapshot of the node's event-loop counters.
-    GetNodeStats,
     /// Observability: the node's full metrics registry rendered in the
     /// Prometheus text exposition format.
     GetMetrics,
@@ -141,9 +139,6 @@ impl Encode for RpcRequest {
                 message.encode(w);
                 signature.encode(w);
             }
-            RpcRequest::GetNodeStats => {
-                4u8.encode(w);
-            }
             RpcRequest::GetMetrics => {
                 5u8.encode(w);
             }
@@ -190,7 +185,8 @@ impl Decode for RpcRequest {
                 message: Vec::<u8>::decode(r)?,
                 signature: Vec::<u8>::decode(r)?,
             }),
-            4 => Ok(RpcRequest::GetNodeStats),
+            // Tag 4 stays unassigned: a stats request from an older
+            // client must fail to decode, not be read as another request.
             5 => Ok(RpcRequest::GetMetrics),
             6 => Ok(RpcRequest::GetTrace(<[u8; 32]>::decode(r)?)),
             7 => Ok(RpcRequest::CollectTrace(<[u8; 32]>::decode(r)?)),
@@ -327,8 +323,6 @@ pub enum RpcResponse {
     /// live-instance cap) and refused the request without queueing it;
     /// safe to retry later or against another node.
     Overloaded,
-    /// Event-loop counters of the serving node.
-    NodeStats(theta_metrics::EventLoopSnapshot),
     /// Prometheus text exposition of the node's metrics registry.
     MetricsText(String),
     /// One node's trace-journal slice for an instance, with its clock
@@ -373,19 +367,6 @@ impl Encode for RpcResponse {
                 4u8.encode(w);
                 msg.encode(w);
             }
-            RpcResponse::NodeStats(s) => {
-                // `EventLoopSnapshot` lives in theta-metrics (which has
-                // no codec dependency), so its fields are framed here.
-                5u8.encode(w);
-                s.wakeups.encode(w);
-                s.events_processed.encode(w);
-                s.commands_processed.encode(w);
-                s.retries_sent.encode(w);
-                s.cache_evictions.encode(w);
-                s.instances_started.encode(w);
-                s.instances_completed.encode(w);
-                s.instances_timed_out.encode(w);
-            }
             RpcResponse::MetricsText(text) => {
                 6u8.encode(w);
                 text.encode(w);
@@ -395,7 +376,7 @@ impl Encode for RpcResponse {
             }
             RpcResponse::Trace(trace) => {
                 // `TraceEvent` lives in theta-metrics (no codec
-                // dependency), so its fields are framed here too.
+                // dependency), so its fields are framed here.
                 7u8.encode(w);
                 trace.wall_anchor_micros.encode(w);
                 trace.truncated.encode(w);
@@ -459,16 +440,7 @@ impl Decode for RpcResponse {
             2 => Ok(RpcResponse::Ciphertext(Vec::<u8>::decode(r)?)),
             3 => Ok(RpcResponse::Verified(bool::decode(r)?)),
             4 => Ok(RpcResponse::Error(String::decode(r)?)),
-            5 => Ok(RpcResponse::NodeStats(theta_metrics::EventLoopSnapshot {
-                wakeups: u64::decode(r)?,
-                events_processed: u64::decode(r)?,
-                commands_processed: u64::decode(r)?,
-                retries_sent: u64::decode(r)?,
-                cache_evictions: u64::decode(r)?,
-                instances_started: u64::decode(r)?,
-                instances_completed: u64::decode(r)?,
-                instances_timed_out: u64::decode(r)?,
-            })),
+            // Tag 5 stays unassigned, as request tag 4 does.
             6 => Ok(RpcResponse::MetricsText(String::decode(r)?)),
             7 => Ok(RpcResponse::Trace(NodeTrace {
                 wall_anchor_micros: u64::decode(r)?,
@@ -593,7 +565,6 @@ mod tests {
                 message: b"m".to_vec(),
                 signature: vec![1, 2, 3],
             },
-            RpcRequest::GetNodeStats,
             RpcRequest::GetMetrics,
             RpcRequest::GetTrace([7u8; 32]),
             RpcRequest::CollectTrace([8u8; 32]),
@@ -602,6 +573,7 @@ mod tests {
         for r in reqs {
             assert_eq!(RpcRequest::decoded(&r.encoded()).unwrap(), r);
         }
+        assert!(matches!(RpcRequest::decoded(&[4]), Err(CodecError::InvalidTag(4))));
     }
 
     #[test]
@@ -613,16 +585,6 @@ mod tests {
             RpcResponse::Verified(true),
             RpcResponse::Error("nope".into()),
             RpcResponse::Overloaded,
-            RpcResponse::NodeStats(theta_metrics::EventLoopSnapshot {
-                wakeups: 1,
-                events_processed: 2,
-                commands_processed: 3,
-                retries_sent: 4,
-                cache_evictions: 5,
-                instances_started: 6,
-                instances_completed: 7,
-                instances_timed_out: 8,
-            }),
             RpcResponse::MetricsText("# TYPE x counter\nx 1\n".into()),
             RpcResponse::Trace(NodeTrace {
                 wall_anchor_micros: 1_700_000_000_000_000,
@@ -665,6 +627,7 @@ mod tests {
         for r in resps {
             assert_eq!(RpcResponse::decoded(&r.encoded()).unwrap(), r);
         }
+        assert!(matches!(RpcResponse::decoded(&[5]), Err(CodecError::InvalidTag(5))));
     }
 
     #[test]

@@ -271,7 +271,6 @@ fn method_name(request: &RpcRequest) -> &'static str {
         RpcRequest::GetPublicKey(_) => "get_public_key",
         RpcRequest::Encrypt { .. } => "encrypt",
         RpcRequest::VerifySignature { .. } => "verify_signature",
-        RpcRequest::GetNodeStats => "get_node_stats",
         RpcRequest::GetMetrics => "get_metrics",
         RpcRequest::GetTrace(_) => "get_trace",
         RpcRequest::CollectTrace(_) => "collect_trace",
@@ -416,7 +415,6 @@ pub(crate) fn dispatch_request(
             },
             None => RpcResponse::Error("no key manager on this node".into()),
         }),
-        RpcRequest::GetNodeStats => Dispatch::Inline(RpcResponse::NodeStats(ctx.node.counters())),
         RpcRequest::GetMetrics => {
             Dispatch::Inline(RpcResponse::MetricsText(ctx.obs.render_prometheus()))
         }
@@ -516,7 +514,6 @@ fn answer_scheme_api(request: RpcRequest, keys: &PublicKeyChest) -> RpcResponse 
             }
         }
         RpcRequest::Protocol(_)
-        | RpcRequest::GetNodeStats
         | RpcRequest::GetMetrics
         | RpcRequest::GetTrace(_)
         | RpcRequest::CollectTrace(_)

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: build, full test suite, the release-mode concurrency
-# stress suite, and clippy (deny warnings) workspace-wide.
+# Tier-1 CI gate: build (the workspace and the svcbench benchmark), full
+# test suite, the release-mode concurrency stress suite, and clippy (deny
+# warnings) workspace-wide.
 #
 # The static/dynamic analysis gate (loom model checking, secret-hygiene
 # lint, Miri/TSan) lives in scripts/analysis.sh and runs as its own CI
@@ -30,6 +31,13 @@ step() {
 
 step "cargo build --release" \
     cargo build --release
+
+# svcbench links theta-core, theta-service and theta-orchestration by
+# path, so a crate change can break the benchmark without breaking the
+# workspace; build it the way svcbench/run.py does.
+step "benchmark workspace build (svcbench)" \
+    env CARGO_TARGET_DIR=.bench_build/ci \
+        cargo build --release --offline --manifest-path svcbench/Cargo.toml
 
 step "cargo test (workspace)" \
     cargo test --workspace -q

@@ -233,3 +233,39 @@ fn backpressure_interleaves_with_successes_on_one_connection() {
     // The connection survives the refusals: a quiet request succeeds.
     client.run_protocol(Request::Bls04Sign(b"calm".to_vec())).unwrap();
 }
+
+/// Request tag 4 is retired: a frame carrying it is malformed. The
+/// front-end counts it in `theta_frontend_frame_errors_total` and drops
+/// that connection, and the node keeps serving new ones.
+#[test]
+fn retired_request_tag_is_a_frame_error() {
+    use std::io::{Read, Write};
+    use thetacrypt::codec::Encode;
+    use thetacrypt::service::{Frame, RpcRequest};
+
+    let mut net = ThetaNetworkBuilder::new(0, 1).with_bls04().seed(13).build().unwrap();
+    let addr = net.serve_rpc(1, "127.0.0.1:0".parse().unwrap()).unwrap();
+
+    // A well-formed `GetMetrics` frame with its request tag (the byte
+    // after the 8-byte correlation id) rewritten to 4.
+    let mut body = Frame { id: 1, body: RpcRequest::GetMetrics }.encoded();
+    body[8] = 4;
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+    raw.write_all(&body).unwrap();
+    let mut buf = [0u8; 64];
+    match raw.read(&mut buf) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("a retired tag must close the connection, got {other:?}"),
+    }
+
+    let mut client = RpcClient::connect(addr, Duration::from_secs(5)).unwrap();
+    let text = client.metrics().unwrap();
+    assert!(
+        text.lines().any(|l| l == "theta_frontend_frame_errors_total 1"),
+        "frame error not counted:\n{text}"
+    );
+    client.run_protocol(Request::Bls04Sign(b"still served".to_vec())).unwrap();
+}

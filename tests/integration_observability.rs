@@ -1,7 +1,7 @@
 //! End-to-end observability test: a 4-node in-memory Θ-network driven
-//! through the RPC service, asserting that the three observability
-//! endpoints (`GetNodeStats`, `GetMetrics`, `GetTrace`) agree with each
-//! other and with the work actually performed.
+//! through the RPC service, asserting that the observability endpoints
+//! (`GetMetrics`, `GetTrace`) agree with the trace journal and with the
+//! work actually performed.
 
 use std::time::Duration;
 use thetacrypt::core::ThetaNetworkBuilder;
@@ -42,20 +42,19 @@ fn observability_endpoints_agree_end_to_end() {
         .unwrap();
     assert!(!dup.is_empty());
 
-    // --- GetNodeStats vs the trace journal ---------------------------
-    let stats = client.node_stats().unwrap();
-    assert_eq!(stats.instances_started, 3);
-    assert_eq!(stats.instances_completed, 3);
-    assert_eq!(stats.instances_timed_out, 0);
+    // --- GetMetrics: instance counters vs the trace journal ----------
+    let text = client.metrics().unwrap();
+    assert_eq!(metric_value(&text, "theta_instances_started_total"), Some(3.0));
+    assert_eq!(metric_value(&text, "theta_instances_completed_total"), Some(3.0));
+    assert_eq!(metric_value(&text, "theta_instances_timed_out_total"), Some(0.0));
     let obs = net.node_observability(1);
     assert_eq!(
-        obs.journal.instances_started() as u64,
-        stats.instances_started,
+        Some(obs.journal.instances_started() as f64),
+        metric_value(&text, "theta_instances_started_total"),
         "trace journal and event-loop counters must agree on starts"
     );
 
     // --- GetMetrics: per-phase histograms ----------------------------
-    let text = client.metrics().unwrap();
     for name in [
         "theta_share_compute_seconds",
         "theta_share_verify_seconds",
@@ -75,7 +74,6 @@ fn observability_endpoints_agree_end_to_end() {
         Some(3.0)
     );
     assert_eq!(metric_value(&text, "theta_combine_seconds_count"), Some(3.0));
-    assert_eq!(metric_value(&text, "theta_instances_started_total"), Some(3.0));
     assert_eq!(metric_value(&text, "theta_cache_hits_total"), Some(1.0));
 
     // --- GetMetrics: per-peer network counters -----------------------
@@ -205,4 +203,39 @@ fn get_trace_flags_ring_evicted_instances() {
         evicted.wall_anchor_micros, complete.wall_anchor_micros,
         "the wall anchor is a journal-creation constant"
     );
+}
+
+/// Each event-loop counter is one registry series: a fresh node's
+/// `GetMetrics` text carries exactly one `# TYPE` line and one value
+/// line per name, at 0. A name registered twice (say, once in the
+/// registry and once by a hand-rendered loop) would show up twice.
+#[test]
+fn fresh_node_renders_each_event_loop_counter_once() {
+    let mut net = ThetaNetworkBuilder::new(1, 4)
+        .with_cks05()
+        .seed(43)
+        .build()
+        .expect("build");
+    let addr = net.serve_rpc(1, "127.0.0.1:0".parse().unwrap()).unwrap();
+    let mut client = RpcClient::connect(addr, Duration::from_secs(5)).unwrap();
+    let text = client.metrics().unwrap();
+    for name in [
+        "theta_event_loop_wakeups_total",
+        "theta_event_loop_events_total",
+        "theta_event_loop_commands_total",
+        "theta_event_loop_retries_total",
+        "theta_event_loop_cache_evictions_total",
+        "theta_instances_started_total",
+        "theta_instances_completed_total",
+        "theta_instances_timed_out_total",
+    ] {
+        let type_line = format!("# TYPE {name} counter");
+        let types = text.lines().filter(|l| *l == type_line).count();
+        assert_eq!(types, 1, "{name}: {types} TYPE lines in:\n{text}");
+        let values: Vec<&str> = text
+            .lines()
+            .filter(|l| l.split(' ').next() == Some(name))
+            .collect();
+        assert_eq!(values, [format!("{name} 0")], "{name} in:\n{text}");
+    }
 }

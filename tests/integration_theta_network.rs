@@ -363,10 +363,16 @@ fn idle_cluster_routers_do_not_wake() {
     net.submit_and_wait(1, Request::Cks05Coin(b"warm".to_vec()))
         .expect("coin");
     std::thread::sleep(Duration::from_millis(300));
-    let before: Vec<u64> = (1..=4).map(|id| net.node_counters(id).wakeups).collect();
+    let wakeups = |id: u16| {
+        net.node_observability(id)
+            .registry
+            .counter_value("theta_event_loop_wakeups_total", &[])
+            .expect("wakeup counter registered")
+    };
+    let before: Vec<u64> = (1..=4).map(wakeups).collect();
     std::thread::sleep(Duration::from_secs(2));
     for id in 1..=4u16 {
-        let woke = net.node_counters(id).wakeups - before[id as usize - 1];
+        let woke = wakeups(id) - before[id as usize - 1];
         assert!(woke <= 2, "idle router {id} woke {woke} times in 2 s");
     }
 }

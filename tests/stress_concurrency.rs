@@ -132,18 +132,25 @@ fn run_saturation_mix() {
 
     // Loss-free accounting at every node.
     for id in 1..=4u16 {
-        let counters = net.node_counters(id);
+        let obs = net.node_observability(id);
+        let counter = |name: &str| obs.registry.counter_value(name, &[]).expect(name);
         assert_eq!(
-            counters.instances_started, total as u64,
+            counter("theta_instances_started_total"),
+            total as u64,
             "node {id}: every distinct request starts exactly one instance"
         );
         assert_eq!(
-            counters.instances_completed, total as u64,
+            counter("theta_instances_completed_total"),
+            total as u64,
             "node {id}: starts and completions must balance"
         );
-        assert_eq!(counters.instances_timed_out, 0, "node {id}: no instance may time out");
+        assert_eq!(
+            counter("theta_instances_timed_out_total"),
+            0,
+            "node {id}: no instance may time out"
+        );
 
-        let text = net.node_observability(id).render_prometheus();
+        let text = obs.render_prometheus();
         for series in [
             "theta_messages_dropped_total{reason=\"malformed\"}",
             "theta_messages_dropped_total{reason=\"spoofed\"}",
@@ -201,5 +208,9 @@ fn rpc_overload_returns_overloaded_response() {
         metric_value(&text, "theta_overload_rejections_total") >= 1.0,
         "overload rejection must be counted:\n{text}"
     );
-    assert_eq!(node.counters().instances_started, 0, "nothing may have been queued");
+    assert_eq!(
+        node.observability().registry.counter_value("theta_instances_started_total", &[]),
+        Some(0),
+        "nothing may have been queued"
+    );
 }
